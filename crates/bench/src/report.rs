@@ -4,11 +4,13 @@
 //! committed baseline with a noise envelope.
 //!
 //! The format is deliberately flat — one object per metric, scalar
-//! fields only — so the hand-rolled parser below (no serde in the tree)
-//! stays trivial and the files diff well.
+//! fields only — so the files diff well; the workspace's shared strict
+//! parser ([`machtlb_xpr::json`]) reads them back.
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
+
+use machtlb_xpr::json::{escape, Json};
 
 /// One measured point: a headline number plus the configuration that
 /// produced it and any counters worth tracking over time.
@@ -65,17 +67,6 @@ pub struct BenchReport {
     pub metrics: Vec<BenchMetric>,
 }
 
-fn json_escape(s: &str) -> String {
-    s.chars()
-        .flat_map(|c| match c {
-            '"' => "\\\"".chars().collect::<Vec<_>>(),
-            '\\' => "\\\\".chars().collect(),
-            c if (c as u32) < 0x20 => format!("\\u{:04x}", c as u32).chars().collect(),
-            c => vec![c],
-        })
-        .collect()
-}
-
 impl BenchReport {
     /// An empty report for the named bench.
     pub fn new(bench: impl Into<String>) -> BenchReport {
@@ -94,22 +85,22 @@ impl BenchReport {
     pub fn to_json(&self) -> String {
         let mut s = String::new();
         let _ = writeln!(s, "{{");
-        let _ = writeln!(s, "  \"bench\": \"{}\",", json_escape(&self.bench));
+        let _ = writeln!(s, "  \"bench\": \"{}\",", escape(&self.bench));
         let _ = writeln!(s, "  \"metrics\": [");
         for (i, m) in self.metrics.iter().enumerate() {
             let counters = m
                 .counters
                 .iter()
-                .map(|(k, v)| format!("\"{}\": {v}", json_escape(k)))
+                .map(|(k, v)| format!("\"{}\": {v}", escape(k)))
                 .collect::<Vec<_>>()
                 .join(", ");
             let _ = writeln!(
                 s,
                 "    {{\"name\": \"{}\", \"cpus\": {}, \"strategy\": \"{}\", \
                  \"fanout\": {}, \"median_us\": {:.3}, \"counters\": {{{counters}}}}}{}",
-                json_escape(&m.name),
+                escape(&m.name),
                 m.cpus,
-                json_escape(&m.strategy),
+                escape(&m.strategy),
                 m.fanout,
                 m.median_us,
                 if i + 1 == self.metrics.len() { "" } else { "," },
@@ -133,183 +124,64 @@ impl BenchReport {
     }
 }
 
-// --- a minimal parser for exactly the shape to_json writes ---
-
-struct Cursor<'a> {
-    b: &'a [u8],
-    i: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn ws(&mut self) {
-        while self.i < self.b.len() && self.b[self.i].is_ascii_whitespace() {
-            self.i += 1;
-        }
-    }
-
-    fn eat(&mut self, c: u8) -> Result<(), String> {
-        self.ws();
-        if self.i < self.b.len() && self.b[self.i] == c {
-            self.i += 1;
-            Ok(())
-        } else {
-            Err(format!(
-                "expected '{}' at byte {} of bench json",
-                c as char, self.i
-            ))
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.ws();
-        self.b.get(self.i).copied()
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        while self.i < self.b.len() {
-            match self.b[self.i] {
-                b'"' => {
-                    self.i += 1;
-                    return Ok(out);
-                }
-                b'\\' => {
-                    self.i += 1;
-                    match self.b.get(self.i) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'u') => {
-                            let hex = self
-                                .b
-                                .get(self.i + 1..self.i + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                                16,
-                            )
-                            .map_err(|_| "bad \\u escape")?;
-                            out.push(char::from_u32(code).ok_or("bad \\u codepoint")?);
-                            self.i += 4;
-                        }
-                        _ => return Err("bad escape in bench json".into()),
-                    }
-                    self.i += 1;
-                }
-                c => {
-                    out.push(c as char);
-                    self.i += 1;
-                }
-            }
-        }
-        Err("unterminated string in bench json".into())
-    }
-
-    fn number(&mut self) -> Result<f64, String> {
-        self.ws();
-        let start = self.i;
-        while self
-            .b
-            .get(self.i)
-            .is_some_and(|c| c.is_ascii_digit() || matches!(c, b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.i += 1;
-        }
-        std::str::from_utf8(&self.b[start..self.i])
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .ok_or_else(|| format!("bad number at byte {start} of bench json"))
-    }
-
-    fn key(&mut self) -> Result<String, String> {
-        let k = self.string()?;
-        self.eat(b':')?;
-        Ok(k)
-    }
-}
-
 /// Parses a `BENCH_<name>.json` produced by [`BenchReport::to_json`].
-/// Field order matters (the writer is the only producer); unknown keys
-/// are rejected so drift is caught loudly.
+/// Every field is required and unknown keys are rejected, so drift is
+/// caught loudly; `cpus`, `fanout`, and the counters must be exact
+/// non-negative integers.
 pub fn parse_report(text: &str) -> Result<BenchReport, String> {
-    let mut c = Cursor {
-        b: text.as_bytes(),
-        i: 0,
-    };
-    c.eat(b'{')?;
-    let mut report = BenchReport::new("");
-    loop {
-        match c.key()?.as_str() {
-            "bench" => report.bench = c.string()?,
-            "metrics" => {
-                c.eat(b'[')?;
-                if c.peek() == Some(b']') {
-                    c.eat(b']')?;
-                } else {
-                    loop {
-                        report.metrics.push(parse_metric(&mut c)?);
-                        if c.peek() == Some(b',') {
-                            c.eat(b',')?;
-                        } else {
-                            c.eat(b']')?;
-                            break;
-                        }
-                    }
-                }
-            }
-            other => return Err(format!("unknown key {other:?} in bench json")),
-        }
-        if c.peek() == Some(b',') {
-            c.eat(b',')?;
-        } else {
-            c.eat(b'}')?;
-            break;
-        }
-    }
+    Json::parse(text)
+        .and_then(|doc| read_report(&doc))
+        .map_err(|e| format!("bench json: {e}"))
+}
+
+fn read_report(doc: &Json) -> Result<BenchReport, String> {
+    only_keys(doc, &["bench", "metrics"])?;
+    let mut report = BenchReport::new(doc.str_field("bench")?);
     if report.bench.is_empty() {
-        return Err("bench json missing \"bench\"".into());
+        return Err("empty \"bench\" name".into());
+    }
+    for m in doc.array_field("metrics")? {
+        only_keys(
+            m,
+            &[
+                "name",
+                "cpus",
+                "strategy",
+                "fanout",
+                "median_us",
+                "counters",
+            ],
+        )?;
+        let Json::Obj(counters) = m.field("counters")? else {
+            return Err("\"counters\" is not an object".into());
+        };
+        let mut metric = BenchMetric::new(
+            m.str_field("name")?,
+            m.u64_field("cpus")?,
+            m.str_field("strategy")?,
+            m.u64_field("fanout")?,
+            m.f64_field("median_us")?,
+        );
+        for (k, v) in counters {
+            let v = v
+                .as_u64()
+                .ok_or_else(|| format!("counter \"{k}\" is not a non-negative integer"))?;
+            metric = metric.counter(k.as_str(), v);
+        }
+        report.push(metric);
     }
     Ok(report)
 }
 
-fn parse_metric(c: &mut Cursor<'_>) -> Result<BenchMetric, String> {
-    c.eat(b'{')?;
-    let mut m = BenchMetric::new("", 0, "", 0, 0.0);
-    loop {
-        match c.key()?.as_str() {
-            "name" => m.name = c.string()?,
-            "cpus" => m.cpus = c.number()? as u64,
-            "strategy" => m.strategy = c.string()?,
-            "fanout" => m.fanout = c.number()? as u64,
-            "median_us" => m.median_us = c.number()?,
-            "counters" => {
-                c.eat(b'{')?;
-                if c.peek() == Some(b'}') {
-                    c.eat(b'}')?;
-                } else {
-                    loop {
-                        let k = c.key()?;
-                        let v = c.number()? as u64;
-                        m.counters.push((k, v));
-                        if c.peek() == Some(b',') {
-                            c.eat(b',')?;
-                        } else {
-                            c.eat(b'}')?;
-                            break;
-                        }
-                    }
-                }
-            }
-            other => return Err(format!("unknown key {other:?} in bench metric")),
-        }
-        if c.peek() == Some(b',') {
-            c.eat(b',')?;
-        } else {
-            c.eat(b'}')?;
-            break;
-        }
+/// Rejects any key of object `v` outside `allowed`.
+fn only_keys(v: &Json, allowed: &[&str]) -> Result<(), String> {
+    let Json::Obj(fields) = v else {
+        return Err("expected an object".into());
+    };
+    match fields.iter().find(|(k, _)| !allowed.contains(&k.as_str())) {
+        Some((k, _)) => Err(format!("unknown key {k:?}")),
+        None => Ok(()),
     }
-    Ok(m)
 }
 
 /// One baseline metric held against the current run: the structured row
@@ -443,13 +315,6 @@ mod tests {
     #[test]
     fn empty_metrics_round_trip() {
         let r = BenchReport::new("empty");
-        assert_eq!(parse_report(&r.to_json()).expect("round trip"), r);
-    }
-
-    #[test]
-    fn escapes_survive_the_round_trip() {
-        let mut r = BenchReport::new("weird");
-        r.push(BenchMetric::new("a\"b\\c", 1, "s\u{1}", 1, 1.0));
         assert_eq!(parse_report(&r.to_json()).expect("round trip"), r);
     }
 

@@ -1,10 +1,11 @@
 //! The chaos harness: deterministic fault campaigns against the shootdown.
 //!
-//! A [`ChaosPlan`] pairs a machine-layer [`FaultPlan`] with kernel-side
-//! sabotage (a tiny action queue, a poisoned queue, the watchdog turned
-//! off) and a declared *envelope*: whether the hardened kernel is expected
-//! to ride the faults out. [`run_chaos`] drives a fixed
-//! writer/initiator workload under the plan and classifies the outcome:
+//! A campaign is a [`FaultSchedule`]: machine-layer faults plus
+//! kernel-side sabotage (a tiny action queue, a poisoned queue, the
+//! watchdog turned off) and a declared *envelope* — whether the hardened
+//! kernel is expected to ride the faults out. [`run_chaos`] drives a
+//! fixed writer/initiator workload under the schedule and classifies the
+//! outcome:
 //!
 //! - [`Survival::Tolerated`] — finished with no violations and no
 //!   hardening machinery engaged;
@@ -17,25 +18,26 @@
 //!   did not absorb into an eviction, or a run that visibly never
 //!   completed (and carries a [`stall_report`]).
 //!
-//! The suite is two-sided. Plans inside the envelope must never be
-//! `DetectedFatal`; plans beyond it (`tolerable == false`) must be
-//! `DetectedFatal` — a beyond-envelope plan that *passes* is itself a
+//! The suite is two-sided. Schedules inside the envelope must never be
+//! `DetectedFatal`; schedules beyond it (`tolerable == false`) must be
+//! `DetectedFatal` — a beyond-envelope schedule that *passes* is itself a
 //! failure, because it means a real fault of that shape would corrupt
 //! translations silently. [`check_envelope`] encodes both directions.
 //!
 //! Everything is seed-deterministic: the fault rules are
 //! counter-deterministic (no random draws), so the same
 //! [`ChaosConfig`] always yields a bit-identical [`ChaosOutcome`] —
-//! clocks, statistics, and verdict. A `None` plan and an installed
-//! [`FaultPlan::none`] are likewise bit-identical, proving the injection
+//! clocks, statistics, and verdict. A `None` plan and the fault-free
+//! `none` schedule are likewise bit-identical, proving the injection
 //! hooks cost nothing when quiet.
+
+use std::fmt::Write as _;
 
 use machtlb_pmap::{PageRange, Pfn, PmapId, Prot, Vaddr, Vpn};
 use machtlb_sim::{
-    BusStats, CostModel, CpuId, Ctx, Dur, FaultPlan, FaultRecord, FaultStats, Halt, IpiDelay,
-    IpiDrop, IpiDuplicate, IpiReorder, IsrStretch, Offline, Process, ResponderStall, RunStatus,
-    Step, Time,
+    BusStats, CostModel, CpuId, Ctx, Dur, FaultRecord, FaultStats, Process, RunStatus, Step, Time,
 };
+use machtlb_xpr::json::escape;
 use machtlb_xpr::{ShootdownEvent, TraceEdge, TracePhase};
 
 use crate::access::{try_access, AccessOutcome, MemOp};
@@ -43,10 +45,13 @@ use crate::diagnose::stall_report;
 use crate::health::{FencedRejoinProcess, RecoveryPolicy};
 use crate::kernel::{
     build_kernel_machine, schedule_device_interrupts, KernelMachine, SwitchUserPmapProcess,
-    SHOOTDOWN_VECTOR,
 };
 use crate::op::{FailOpDriver, PmapOp, PmapOpProcess};
 use crate::responder::ExitIdleProcess;
+use crate::schedule::{
+    offline_floor_us, revive_floor_us, schedule_json, FaultSchedule, ScheduleEvent,
+    WRONGFUL_STALL_US,
+};
 use crate::state::{KernelConfig, KernelState, KernelStats, WatchdogConfig};
 use crate::{drive, Driven};
 
@@ -75,321 +80,163 @@ impl Survival {
     }
 }
 
-/// One chaos campaign: machine-layer faults plus kernel-side sabotage,
-/// with its declared envelope.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ChaosPlan {
-    /// Short name for tables and test output.
-    pub name: &'static str,
-    /// The machine-layer fault plan (IPI and dispatch perturbations).
-    pub fault: FaultPlan,
-    /// Override the per-processor action-queue capacity (the overflow
-    /// storm). When set, the workload also leaves the last processor idle
-    /// with the pmap in use, so actions pile up in its queue.
-    pub queue_capacity: Option<usize>,
-    /// Poison this processor's action queue before the run starts
-    /// (models queue corruption found by the check gate).
-    pub poison_cpu: Option<CpuId>,
-    /// Whether the initiator watchdog is armed. Turned off only by
-    /// beyond-envelope plans, to prove a lost IPI without the watchdog is
-    /// caught rather than silently survived.
-    pub watchdog_enabled: bool,
-    /// Whether a revived processor runs the fenced rejoin protocol.
-    /// Turned off only by the beyond-envelope revival plan, to prove the
-    /// checker catches an unfenced rejoin's stale translations.
-    pub fencing: bool,
-    /// After its rounds, the driver reprotects both test pages read-only
-    /// *before* raising the sentinel. Combined with each writer's final
-    /// translated write, this is the stale-translation probe for revived
-    /// processors: an entry cached before the processor went offline is
-    /// writable, the final commit is read-only, and only a full fence
-    /// stands between them.
-    pub final_ro: bool,
-    /// Replace the last processor's writer with a process that takes the
-    /// test pmap's lock and never releases it — the dead-lock-holder
-    /// scenario once the fault plan halts that processor.
-    pub grab_lock: bool,
-    /// The dead-lock-holder recovery policy this plan runs under. The
-    /// catalog default is [`RecoveryPolicy::FenceAndSteal`]; the FailOp
-    /// plans switch to [`RecoveryPolicy::FailOp`] and drive every
-    /// operation through a [`FailOpDriver`](crate::FailOpDriver).
-    pub policy: RecoveryPolicy,
-    /// The [`FailOpDriver`](crate::FailOpDriver) restart budget (only
-    /// meaningful under [`RecoveryPolicy::FailOp`]).
-    pub failop_retries: u32,
-    /// Run a second, co-initiating driver on processor 1. It shares the
-    /// rounds and raises the sentinel, so the campaign completes even if
-    /// the primary initiator on processor 0 is halted mid-run.
-    pub co_initiator: bool,
-    /// Whether the hardened kernel is expected to finish consistently
-    /// under this plan (possibly degraded). Beyond-envelope plans must be
-    /// [`Survival::DetectedFatal`].
-    pub tolerable: bool,
-}
-
-fn base_plan(name: &'static str, fault: FaultPlan) -> ChaosPlan {
-    ChaosPlan {
-        name,
-        fault,
-        queue_capacity: None,
-        poison_cpu: None,
-        watchdog_enabled: true,
-        fencing: true,
-        final_ro: false,
-        grab_lock: false,
-        policy: RecoveryPolicy::FenceAndSteal,
-        failop_retries: 3,
-        co_initiator: false,
-        tolerable: true,
-    }
-}
-
 /// The standard campaign catalog for an `n_cpus`-processor machine: six
-/// fault shapes inside the tolerable envelope, two queue-sabotage plans
-/// that must degrade gracefully, a fail-stop family (responders halted
-/// before and after acknowledging, a halted lock holder, an
-/// offline-and-revive storm), and three beyond-envelope plans that must
-/// be caught (total unwatched IPI loss, a halted initiator, and a
-/// revival with fencing disabled).
+/// fault shapes inside the tolerable envelope, two queue-sabotage
+/// schedules that must degrade gracefully, a fail-stop family
+/// (responders halted before and after acknowledging, a halted lock
+/// holder, an offline-and-revive storm), and three beyond-envelope
+/// schedules that must be caught (total unwatched IPI loss, a halted
+/// initiator, and a revival with fencing disabled).
 ///
 /// Appended after those sixteen (the topology-equivalence goldens pin
 /// the prefix) comes the compound-fault family: two halted responders,
 /// a halted initiator with a live co-initiator, the wrongful eviction of
 /// a slow-but-alive responder (with and without fencing), and a halted
-/// lock holder recovered end to end under [`RecoveryPolicy::FailOp`]
-/// (`RecoveryPolicy` is re-exported at the crate root) through a
+/// lock holder recovered end to end under
+/// [`RecoveryPolicy::FailOp`](crate::RecoveryPolicy::FailOp) through a
 /// [`FailOpDriver`](crate::FailOpDriver).
+///
+/// Each entry is a named [`FaultSchedule`] for this machine size with the
+/// default seed and rounds; [`ChaosConfig`] supplies the seed and rounds
+/// it runs with.
 ///
 /// The fail-stop timing: the workload's sentinel lands between 5 and
 /// 10 ms, so a halt at 2 ms reliably strikes mid-run; pairing it with an
-/// 8 ms [`ResponderStall`] pins the victim inside a shootdown dispatch —
-/// notified but not yet acknowledged — without racing the microsecond-
-/// scale healthy ack.
+/// 8 ms stall pins the victim inside a shootdown dispatch — notified but
+/// not yet acknowledged — without racing the microsecond-scale healthy
+/// ack. The offline/revive window sits on [`offline_floor_us`] and
+/// [`revive_floor_us`], which stretch with the machine: otherwise the
+/// final round starts after the rejoin, legitimately shoots the revived
+/// processor's stale entry down, and the beyond-envelope
+/// `revive-no-fence` schedule passes silently.
 ///
 /// # Panics
 ///
 /// Panics if `n_cpus < 4` (the workload needs an initiator, a surviving
 /// responder, and two distinct fault targets for the compound plans).
-pub fn plan_catalog(n_cpus: usize) -> Vec<ChaosPlan> {
+pub fn plan_catalog(n_cpus: usize) -> Vec<FaultSchedule> {
     assert!(n_cpus >= 4, "chaos workload needs at least 4 processors");
-    let v = SHOOTDOWN_VECTOR;
-    let last = CpuId::new(n_cpus as u32 - 1);
-    // The revival instant of the offline plans. 120ms was tuned so the
-    // revival lands after the finale's reprotect on small machines; bus
-    // serialization stretches campaign time roughly linearly with the
-    // processor count, so the revival must stretch with it — otherwise
-    // the final round starts after the rejoin, legitimately shoots the
-    // revived processor's stale entry down, and the beyond-envelope
-    // `revive-no-fence` plan passes silently. The max keeps every
-    // machine up to 28 processors (including the golden-pinned
-    // 4-processor catalog) bit-identical to the original constant.
-    let revive_at = Time::from_micros(120_000u64.max(50_000 + 2_500 * n_cpus as u64));
-    // Likewise the offline instant: the victim must have won the
-    // serialized bus and cached its writable test-page entry before it
-    // can go offline holding a translation to go stale. At 2ms a
-    // 128-processor machine's last writer is still queued behind the
-    // other 126.
-    let offline_at = Time::from_micros(2_000u64.max(100 * n_cpus as u64));
+    let last = n_cpus as u32 - 1;
+    let plan = |name: &str, events: Vec<ScheduleEvent>| FaultSchedule {
+        name: name.into(),
+        n_cpus,
+        events,
+        ..FaultSchedule::default()
+    };
+    let stall = |cpu, extra_us, times| ScheduleEvent::Stall {
+        cpu,
+        extra_us,
+        times,
+    };
+    let halt = |cpu, at_us| ScheduleEvent::Halt { cpu, at_us };
+    let offline = ScheduleEvent::Offline {
+        cpu: last,
+        at_us: offline_floor_us(n_cpus),
+        revive_at_us: revive_floor_us(n_cpus),
+    };
     vec![
-        base_plan("none", FaultPlan::none(v)),
-        base_plan(
+        plan("none", vec![]),
+        plan(
             "ipi-delay",
-            FaultPlan {
-                delay: Some(IpiDelay {
-                    every_nth: 2,
-                    extra: Dur::micros(500),
-                }),
-                ..FaultPlan::none(v)
-            },
+            vec![ScheduleEvent::Delay {
+                every_nth: 2,
+                extra_us: 500,
+            }],
         ),
-        base_plan(
+        plan(
             "ipi-dup",
-            FaultPlan {
-                duplicate: Some(IpiDuplicate {
-                    every_nth: 2,
-                    extra: Dur::micros(200),
-                }),
-                ..FaultPlan::none(v)
-            },
+            vec![ScheduleEvent::Duplicate {
+                every_nth: 2,
+                extra_us: 200,
+            }],
         ),
-        base_plan(
+        plan(
             "ipi-reorder",
-            FaultPlan {
-                reorder: Some(IpiReorder {
-                    every_nth: 2,
-                    hold: Dur::micros(300),
-                }),
-                ..FaultPlan::none(v)
-            },
+            vec![ScheduleEvent::Reorder {
+                every_nth: 2,
+                hold_us: 300,
+            }],
         ),
-        base_plan(
+        plan(
             "isr-stretch",
-            FaultPlan {
-                isr_stretch: Some(IsrStretch {
-                    extra: Dur::micros(800),
-                }),
-                ..FaultPlan::none(v)
-            },
+            vec![ScheduleEvent::IsrStretch { extra_us: 800 }],
         ),
-        base_plan(
-            "stall",
-            FaultPlan {
-                stalls: vec![ResponderStall {
-                    cpu: last,
-                    extra: Dur::millis(8),
-                    times: 2,
-                }],
-                ..FaultPlan::none(v)
-            },
-        ),
-        ChaosPlan {
+        plan("stall", vec![stall(last, 8_000, 2)]),
+        FaultSchedule {
             queue_capacity: Some(1),
-            ..base_plan("storm", FaultPlan::none(v))
+            ..plan("storm", vec![])
         },
-        ChaosPlan {
-            poison_cpu: Some(last),
-            ..base_plan("poison", FaultPlan::none(v))
+        FaultSchedule {
+            poison: Some(last),
+            ..plan("poison", vec![])
         },
-        base_plan(
+        plan(
             "ipi-drop",
-            FaultPlan {
-                drop: Some(IpiDrop {
-                    every_nth: 1,
-                    max_drops: 2,
-                }),
-                ..FaultPlan::none(v)
-            },
+            vec![ScheduleEvent::Drop {
+                every_nth: 1,
+                max_drops: 2,
+            }],
         ),
-        ChaosPlan {
-            watchdog_enabled: false,
+        FaultSchedule {
+            watchdog: false,
             tolerable: false,
-            ..base_plan(
+            ..plan(
                 "ipi-drop-all",
-                FaultPlan {
-                    drop: Some(IpiDrop {
-                        every_nth: 1,
-                        max_drops: u64::MAX,
-                    }),
-                    ..FaultPlan::none(v)
-                },
+                vec![ScheduleEvent::Drop {
+                    every_nth: 1,
+                    max_drops: u64::MAX,
+                }],
             )
         },
         // The fail-stop family. A responder frozen inside a stretched
         // shootdown dispatch — notified, never acknowledging: the
         // watchdog must exhaust its retries, evict it, and complete
         // against the reduced quorum.
-        base_plan(
+        plan(
             "halt-resp-preack",
-            FaultPlan {
-                stalls: vec![ResponderStall {
-                    cpu: last,
-                    extra: Dur::millis(8),
-                    times: 1,
-                }],
-                halts: vec![Halt {
-                    cpu: last,
-                    at: Time::from_micros(2_000),
-                }],
-                ..FaultPlan::none(v)
-            },
+            vec![stall(last, 8_000, 1), halt(last, 2_000)],
         ),
         // The same responder dies *after* acknowledging its first
         // shootdown (mid-stall of the second): the kernel already
         // banked that ack, and only the second wait must degrade.
-        base_plan(
+        plan(
             "halt-resp-postack",
-            FaultPlan {
-                stalls: vec![ResponderStall {
-                    cpu: last,
-                    extra: Dur::millis(8),
-                    times: 2,
-                }],
-                halts: vec![Halt {
-                    cpu: last,
-                    at: Time::from_micros(12_000),
-                }],
-                ..FaultPlan::none(v)
-            },
+            vec![stall(last, 8_000, 2), halt(last, 12_000)],
         ),
         // A processor halts while holding the test pmap's lock: the
         // initiator's liveness probe must fence-and-steal it instead of
         // spinning on a corpse.
-        ChaosPlan {
+        FaultSchedule {
             grab_lock: true,
-            ..base_plan(
-                "halt-holder",
-                FaultPlan {
-                    halts: vec![Halt {
-                        cpu: last,
-                        at: Time::from_micros(1_000),
-                    }],
-                    ..FaultPlan::none(v)
-                },
-            )
+            ..plan("halt-holder", vec![halt(last, 1_000)])
         },
         // Offline mid-shootdown, revive long after eviction: the revived
         // processor must pass the fenced rejoin before its final
         // translated write, which lands on a page reprotected read-only
         // while it was dead.
-        ChaosPlan {
+        FaultSchedule {
             final_ro: true,
-            ..base_plan(
+            ..plan(
                 "offline-revive",
-                FaultPlan {
-                    stalls: vec![ResponderStall {
-                        cpu: last,
-                        extra: Dur::millis(8),
-                        times: 1,
-                    }],
-                    offlines: vec![Offline {
-                        cpu: last,
-                        at: offline_at,
-                        revive_at,
-                    }],
-                    ..FaultPlan::none(v)
-                },
+                vec![stall(last, 8_000, 1), offline.clone()],
             )
         },
         // Beyond the envelope: the same revival with the fence disabled.
         // The revived processor rejoins with its pre-offline TLB intact
         // and writes through a stale writable entry — the checker must
         // flag it; a silent pass here is the suite failing.
-        ChaosPlan {
+        FaultSchedule {
             final_ro: true,
             fencing: false,
             tolerable: false,
-            ..base_plan(
-                "revive-no-fence",
-                FaultPlan {
-                    stalls: vec![ResponderStall {
-                        cpu: last,
-                        extra: Dur::millis(8),
-                        times: 1,
-                    }],
-                    offlines: vec![Offline {
-                        cpu: last,
-                        at: offline_at,
-                        revive_at,
-                    }],
-                    ..FaultPlan::none(v)
-                },
-            )
+            ..plan("revive-no-fence", vec![stall(last, 8_000, 1), offline])
         },
         // Beyond the envelope: the *initiator* halts mid-campaign. No
         // health monitor can finish its rounds for it — the run must
         // visibly fail to complete, never pass silently.
-        ChaosPlan {
+        FaultSchedule {
             tolerable: false,
-            ..base_plan(
-                "halt-initiator",
-                FaultPlan {
-                    halts: vec![Halt {
-                        cpu: CpuId::new(0),
-                        at: Time::from_micros(2_000),
-                    }],
-                    ..FaultPlan::none(v)
-                },
-            )
+            ..plan("halt-initiator", vec![halt(0, 2_000)])
         },
         // The compound-fault family (appended after the seed sixteen: the
         // topology-equivalence goldens pin the original prefix).
@@ -397,51 +244,23 @@ pub fn plan_catalog(n_cpus: usize) -> Vec<ChaosPlan> {
         // Two responders frozen inside stretched dispatches and then
         // halted: the watchdog must evict both — two independent
         // stall/halt rule pairs firing in one campaign.
-        base_plan(
+        plan(
             "two-halt-responders",
-            FaultPlan {
-                stalls: vec![
-                    ResponderStall {
-                        cpu: last,
-                        extra: Dur::millis(8),
-                        times: 1,
-                    },
-                    ResponderStall {
-                        cpu: CpuId::new(n_cpus as u32 - 2),
-                        extra: Dur::millis(8),
-                        times: 1,
-                    },
-                ],
-                halts: vec![
-                    Halt {
-                        cpu: last,
-                        at: Time::from_micros(2_000),
-                    },
-                    Halt {
-                        cpu: CpuId::new(n_cpus as u32 - 2),
-                        at: Time::from_micros(2_500),
-                    },
-                ],
-                ..FaultPlan::none(v)
-            },
+            vec![
+                stall(last, 8_000, 1),
+                stall(last - 1, 8_000, 1),
+                halt(last, 2_000),
+                halt(last - 1, 2_500),
+            ],
         ),
         // The halted initiator again — but with a live co-initiator on
         // processor 1 that shares the rounds and raises the sentinel.
         // What was beyond the envelope alone is inside it with a
         // redundant initiator: the survivor steals the corpse's lock (or
         // simply outruns it) and the campaign completes.
-        ChaosPlan {
+        FaultSchedule {
             co_initiator: true,
-            ..base_plan(
-                "halt-initiator-coinit",
-                FaultPlan {
-                    halts: vec![Halt {
-                        cpu: CpuId::new(0),
-                        at: Time::from_micros(2_000),
-                    }],
-                    ..FaultPlan::none(v)
-                },
-            )
+            ..plan("halt-initiator-coinit", vec![halt(0, 2_000)])
         },
         // The wrongful eviction: a responder that is slow but *alive*. A
         // 100 ms dispatch stretch overshoots the watchdog's ~75 ms
@@ -451,58 +270,32 @@ pub fn plan_catalog(n_cpus: usize) -> Vec<ChaosPlan> {
         // eviction and self-fence before its final translated write —
         // which lands on a page reprotected read-only while it was
         // presumed dead (the `final_ro` oracle).
-        ChaosPlan {
+        FaultSchedule {
             final_ro: true,
-            ..base_plan(
-                "wrongful-evict",
-                FaultPlan {
-                    stalls: vec![ResponderStall {
-                        cpu: last,
-                        extra: Dur::millis(100),
-                        times: 1,
-                    }],
-                    ..FaultPlan::none(v)
-                },
-            )
+            ..plan("wrongful-evict", vec![stall(last, WRONGFUL_STALL_US, 1)])
         },
         // Beyond the envelope: the same wrongful eviction with fencing
         // disabled. The evicted-but-alive processor resumes with its
         // pre-eviction TLB intact and writes through a stale writable
         // entry — the checker must flag it; a silent pass here means a
         // wrongly evicted processor could corrupt translations for real.
-        ChaosPlan {
+        FaultSchedule {
             final_ro: true,
             fencing: false,
             tolerable: false,
-            ..base_plan(
+            ..plan(
                 "wrongful-evict-no-fence",
-                FaultPlan {
-                    stalls: vec![ResponderStall {
-                        cpu: last,
-                        extra: Dur::millis(100),
-                        times: 1,
-                    }],
-                    ..FaultPlan::none(v)
-                },
+                vec![stall(last, WRONGFUL_STALL_US, 1)],
             )
         },
         // The FailOp loop closed end to end: a halted lock holder under
         // RecoveryPolicy::FailOp. The bare policy aborts the operation
         // with a dead-holder outcome; the FailOpDriver above it must
         // evict the corpse, reclaim its locks, and retry to completion.
-        ChaosPlan {
+        FaultSchedule {
             grab_lock: true,
-            policy: RecoveryPolicy::FailOp,
-            ..base_plan(
-                "failop-dead-holder",
-                FaultPlan {
-                    halts: vec![Halt {
-                        cpu: last,
-                        at: Time::from_micros(1_000),
-                    }],
-                    ..FaultPlan::none(v)
-                },
-            )
+            failop: true,
+            ..plan("failop-dead-holder", vec![halt(last, 1_000)])
         },
     ]
 }
@@ -524,6 +317,10 @@ pub fn chaos_kconfig() -> KernelConfig {
 
 /// One chaos run's inputs. The same config always produces a
 /// bit-identical [`ChaosOutcome`].
+///
+/// The machine (size, seed, rounds, kernel configuration, bounds) comes
+/// from the config; the schedule contributes its faults, sabotage flags,
+/// and envelope.
 #[derive(Clone, Debug)]
 pub struct ChaosConfig {
     /// Processors in the machine (>= 3).
@@ -534,7 +331,7 @@ pub struct ChaosConfig {
     pub kconfig: KernelConfig,
     /// The campaign, or `None` for a fault-free run with no injector
     /// installed at all (the zero-cost baseline).
-    pub plan: Option<ChaosPlan>,
+    pub plan: Option<FaultSchedule>,
     /// Reprotect/restore rounds the initiator performs.
     pub rounds: u64,
     /// Simulated-time bound.
@@ -545,7 +342,7 @@ pub struct ChaosConfig {
 
 impl ChaosConfig {
     /// A standard config: 3 rounds, 200 ms / 5 M-step bounds.
-    pub fn new(n_cpus: usize, seed: u64, plan: Option<ChaosPlan>) -> ChaosConfig {
+    pub fn new(n_cpus: usize, seed: u64, plan: Option<FaultSchedule>) -> ChaosConfig {
         ChaosConfig {
             n_cpus,
             seed,
@@ -556,20 +353,32 @@ impl ChaosConfig {
             max_steps: 5_000_000,
         }
     }
+
+    /// The standard config with both bounds scaled to the machine — what
+    /// `machtlb chaos` and the soak harness run. Bus serialization
+    /// stretches campaign time roughly linearly in the processor count (a
+    /// 128-processor halt cycle quiesces around 270 ms), so the bounds
+    /// are 5 M + 500 k·n steps and 200 ms + 4 ms·n.
+    pub fn scaled(n_cpus: usize, seed: u64, plan: Option<FaultSchedule>) -> ChaosConfig {
+        let n = n_cpus as u64;
+        ChaosConfig {
+            max_steps: 5_000_000 + n * 500_000,
+            limit: Time::from_micros(200_000 + n * 4_000),
+            ..ChaosConfig::new(n_cpus, seed, plan)
+        }
+    }
 }
 
 /// Everything a chaos run produced, for tables and the determinism tests.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ChaosOutcome {
-    /// The plan's name (`"baseline"` when no plan was installed).
-    pub plan: &'static str,
-    /// Whether the plan declared itself inside the tolerable envelope.
-    pub tolerable: bool,
+    /// The campaign as it ran — the config's schedule with the machine
+    /// seed, size, rounds, fanout, and node count of the run — so any row
+    /// can be written out and replayed with `machtlb replay`. `None` for
+    /// a bare run.
+    pub schedule: Option<FaultSchedule>,
     /// Processors in the machine.
     pub n_cpus: usize,
-    /// The plan's armed fault rules and sabotage flags (see
-    /// [`fault_rules`]; empty for a bare run).
-    pub fault_rules: String,
     /// The machine seed.
     pub seed: u64,
     /// The verdict.
@@ -592,6 +401,21 @@ pub struct ChaosOutcome {
     pub end: Time,
     /// The stall report, when the run did not complete.
     pub report: Option<String>,
+}
+
+impl ChaosOutcome {
+    /// The schedule's name (`"baseline"` when no plan was installed).
+    pub fn plan(&self) -> &str {
+        self.schedule
+            .as_ref()
+            .map_or("baseline", |s| s.name.as_str())
+    }
+
+    /// Whether the schedule declared itself inside the tolerable envelope
+    /// (a bare run always is).
+    pub fn tolerable(&self) -> bool {
+        self.schedule.as_ref().is_none_or(|s| s.tolerable)
+    }
 }
 
 /// Word 0 of the counter page: the shared counter the writers increment.
@@ -686,7 +510,7 @@ struct ChaosDriver {
     done_rounds: u64,
     threshold: u64,
     /// Reprotect both pages read-only after the rounds, before the
-    /// sentinel (the stale-translation probe of [`ChaosPlan::final_ro`]).
+    /// sentinel (the stale-translation probe of [`FaultSchedule::final_ro`]).
     final_ro: bool,
     finale_done: bool,
     /// `Some(budget)`: run every operation through a [`FailOpDriver`]
@@ -868,17 +692,22 @@ impl Process<KernelState, ()> for LockGrabber {
 /// drives `rounds` reprotect/restore rounds — each a pair of shootdowns —
 /// then raises a sentinel that stops the writers (each signing off with
 /// one final translated write). Background device interrupts run
-/// throughout. Plans with an [`Offline`] fault get a
+/// throughout. Schedules with an offline event get a
 /// [`FencedRejoinProcess`] spawned on the victim at its revival instant.
 /// After the run, every injected fault is stamped into the xpr stream
 /// (and, when tracing, as flight-recorder marks), so chaos appears
 /// alongside the measurements it perturbed.
 pub fn run_chaos(cfg: &ChaosConfig) -> ChaosOutcome {
+    let plan = cfg.plan.as_ref();
     let mut kconfig = cfg.kconfig.clone();
-    if let Some(p) = &cfg.plan {
-        kconfig.watchdog.enabled = p.watchdog_enabled;
+    if let Some(p) = plan {
+        kconfig.watchdog.enabled = p.watchdog;
         kconfig.health.fencing = p.fencing;
-        kconfig.health.policy = p.policy;
+        kconfig.health.policy = if p.failop {
+            RecoveryPolicy::FailOp
+        } else {
+            RecoveryPolicy::FenceAndSteal
+        };
         if let Some(cap) = p.queue_capacity {
             kconfig.action_queue_capacity = cap;
         }
@@ -890,10 +719,7 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosOutcome {
     let last = CpuId::new(cfg.n_cpus as u32 - 1);
     // The overflow storm leaves the last processor idle (with the pmap in
     // use) so consistency actions pile up in its undersized queue.
-    let idle_last = cfg
-        .plan
-        .as_ref()
-        .is_some_and(|p| p.queue_capacity.is_some());
+    let idle_last = plan.is_some_and(|p| p.queue_capacity.is_some());
     let (pmap, pfn_a, pfn_b) = {
         let s = m.shared_mut();
         let pmap = s.pmaps.create();
@@ -904,20 +730,17 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosOutcome {
         if idle_last {
             s.pmaps.get_mut(pmap).mark_in_use(last);
         }
-        if let Some(pc) = cfg.plan.as_ref().and_then(|p| p.poison_cpu) {
-            s.queues[pc.index()].poison();
-            s.action_needed[pc.index()] = true;
+        if let Some(pc) = plan.and_then(|p| p.poison) {
+            s.queues[pc as usize].poison();
+            s.action_needed[pc as usize] = true;
         }
         (pmap, pfn_a, pfn_b)
     };
 
-    let grab_lock = cfg.plan.as_ref().is_some_and(|p| p.grab_lock);
-    let co_initiator = cfg.plan.as_ref().is_some_and(|p| p.co_initiator);
-    let failop = cfg
-        .plan
-        .as_ref()
-        .filter(|p| p.policy == RecoveryPolicy::FailOp)
-        .map(|p| p.failop_retries);
+    let grab_lock = plan.is_some_and(|p| p.grab_lock);
+    let co_initiator = plan.is_some_and(|p| p.co_initiator);
+    let final_ro = plan.is_some_and(|p| p.final_ro);
+    let failop = plan.filter(|p| p.failop).map(|p| p.failop_retries);
     let writers = if idle_last || grab_lock {
         cfg.n_cpus - 1
     } else {
@@ -963,7 +786,7 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosOutcome {
             pmap,
             [(vpn_a, pfn_a), (vpn_b, pfn_b)],
             cfg.rounds,
-            cfg.plan.as_ref().is_some_and(|p| p.final_ro),
+            final_ro,
             failop,
         )),
     );
@@ -977,7 +800,7 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosOutcome {
                 pmap,
                 [(vpn_a, pfn_a), (vpn_b, pfn_b)],
                 cfg.rounds,
-                cfg.plan.as_ref().is_some_and(|p| p.final_ro),
+                final_ro,
                 failop,
             )),
         );
@@ -985,13 +808,14 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosOutcome {
     // A revived processor runs the rejoin protocol the instant it is
     // back; the spawned frame lands atop the frozen work, so the fence
     // (or, beyond the envelope, its absence) precedes everything else.
-    for off in cfg.plan.iter().flat_map(|p| p.fault.offlines.iter()) {
+    let fault = plan.map(FaultSchedule::fault_plan);
+    for off in fault.iter().flat_map(|f| f.offlines.iter()) {
         m.spawn_at(off.cpu, off.revive_at, Box::new(FencedRejoinProcess::new()));
     }
     schedule_device_interrupts(&mut m, Dur::millis(2), Time::from_micros(50_000));
 
-    if let Some(p) = &cfg.plan {
-        m.install_fault_plan(p.fault.clone());
+    if let Some(f) = fault {
+        m.install_fault_plan(f);
     }
     let r = m.run_bounded(cfg.limit, cfg.max_steps);
 
@@ -1033,10 +857,15 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosOutcome {
     };
     let report = (!completed).then(|| stall_report(&m));
     ChaosOutcome {
-        plan: cfg.plan.as_ref().map_or("baseline", |p| p.name),
-        tolerable: cfg.plan.as_ref().is_none_or(|p| p.tolerable),
+        schedule: plan.map(|p| FaultSchedule {
+            seed: cfg.seed,
+            n_cpus: cfg.n_cpus,
+            rounds: cfg.rounds,
+            nodes: cfg.kconfig.topology.map_or(1, |t| t.nodes()),
+            fanout: cfg.kconfig.fanout,
+            ..p.clone()
+        }),
         n_cpus: cfg.n_cpus,
-        fault_rules: cfg.plan.as_ref().map_or(String::new(), fault_rules),
         seed: cfg.seed,
         survival,
         completed,
@@ -1081,67 +910,6 @@ fn stamp_faults(m: &mut KernelMachine, log: &[FaultRecord]) {
     }
 }
 
-/// A compact, comma-separated description of a plan's armed fault rules
-/// and kernel-side sabotage — the provenance column of the survival JSON,
-/// so an artifact is interpretable without the catalog source at hand.
-pub fn fault_rules(plan: &ChaosPlan) -> String {
-    let f = &plan.fault;
-    let mut r: Vec<String> = Vec::new();
-    if f.delay.is_some() {
-        r.push("ipi-delay".into());
-    }
-    if f.drop.is_some() {
-        r.push("ipi-drop".into());
-    }
-    if f.duplicate.is_some() {
-        r.push("ipi-dup".into());
-    }
-    if f.reorder.is_some() {
-        r.push("ipi-reorder".into());
-    }
-    if f.isr_stretch.is_some() {
-        r.push("isr-stretch".into());
-    }
-    let numbered = |n: usize| {
-        if n == 0 {
-            String::new()
-        } else {
-            (n + 1).to_string()
-        }
-    };
-    for (i, s) in f.stalls.iter().enumerate() {
-        r.push(format!("stall{}(cpu{})", numbered(i), s.cpu.index()));
-    }
-    for (i, h) in f.halts.iter().enumerate() {
-        r.push(format!("halt{}(cpu{})", numbered(i), h.cpu.index()));
-    }
-    for (i, o) in f.offlines.iter().enumerate() {
-        r.push(format!("offline{}(cpu{})", numbered(i), o.cpu.index()));
-    }
-    if plan.queue_capacity.is_some() {
-        r.push("tiny-queue".into());
-    }
-    if plan.poison_cpu.is_some() {
-        r.push("poisoned-queue".into());
-    }
-    if !plan.watchdog_enabled {
-        r.push("no-watchdog".into());
-    }
-    if !plan.fencing {
-        r.push("no-fence".into());
-    }
-    if plan.grab_lock {
-        r.push("grab-lock".into());
-    }
-    if plan.policy == RecoveryPolicy::FailOp {
-        r.push("failop".into());
-    }
-    if plan.co_initiator {
-        r.push("co-initiator".into());
-    }
-    r.join(",")
-}
-
 /// Runs the whole [`plan_catalog`] across the given seeds.
 pub fn chaos_matrix(n_cpus: usize, seeds: &[u64]) -> Vec<ChaosOutcome> {
     let mut out = Vec::new();
@@ -1164,17 +932,20 @@ pub fn chaos_matrix(n_cpus: usize, seeds: &[u64]) -> Vec<ChaosOutcome> {
 pub fn check_envelope(outcomes: &[ChaosOutcome]) -> Vec<String> {
     let mut bad = Vec::new();
     for o in outcomes {
-        if o.tolerable && o.survival == Survival::DetectedFatal {
+        if o.tolerable() && o.survival == Survival::DetectedFatal {
             bad.push(format!(
                 "plan {} seed {}: inside the envelope but detected fatal \
                  ({} violations, completed={})",
-                o.plan, o.seed, o.violations, o.completed
+                o.plan(),
+                o.seed,
+                o.violations,
+                o.completed
             ));
         }
-        if !o.tolerable && o.survival != Survival::DetectedFatal {
+        if !o.tolerable() && o.survival != Survival::DetectedFatal {
             bad.push(format!(
                 "plan {} seed {}: beyond the envelope but PASSED silently ({})",
-                o.plan,
+                o.plan(),
                 o.seed,
                 o.survival.name()
             ));
@@ -1183,45 +954,32 @@ pub fn check_envelope(outcomes: &[ChaosOutcome]) -> Vec<String> {
     bad
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Renders a chaos matrix as machine-readable JSON for CI gates and
-/// artifact diffing (hand-rolled: the repo vendors no JSON dependency).
-/// Shape: `{"outcomes": [{plan, cpus, fault_rules, seed, tolerable,
-/// survival, completed, violations, …counters…, steps, end_ns}],
-/// "failures": [env-check messages], "green": bool}` — `green` mirrors
-/// the process exit code (`false` iff [`check_envelope`] returned
-/// failures).
+/// artifact diffing. Shape: `{"outcomes": [{plan, cpus, seed, tolerable,
+/// survival, completed, violations, …counters…, steps, end_ns,
+/// schedule}], "failures": [env-check messages], "green": bool}` —
+/// `schedule` is the row's campaign in the `repro.json` format (written
+/// by [`schedule_json`], `null` for a bare run), and `green` mirrors the
+/// process exit code (`false` iff [`check_envelope`] returned failures).
 pub fn survival_json(outcomes: &[ChaosOutcome], failures: &[String]) -> String {
     let mut s = String::from("{\n  \"outcomes\": [\n");
     for (i, o) in outcomes.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"plan\": \"{}\", \"cpus\": {}, \"fault_rules\": \"{}\", \"seed\": {}, \
-             \"tolerable\": {}, \"survival\": \"{}\", \
-             \"completed\": {}, \"violations\": {}, \"ipi_retries\": {}, \
-             \"watchdog_gaveup\": {}, \"evictions\": {}, \"fenced_rejoins\": {}, \
-             \"locks_stolen\": {}, \"degraded_flushes\": {}, \"late_acks_rejected\": {}, \
-             \"self_fences\": {}, \"ops_retried\": {}, \"retries_exhausted\": {}, \
-             \"steps\": {}, \"end_ns\": {}}}{}\n",
-            json_escape(o.plan),
+        let schedule = o.schedule.as_ref().map_or("null".into(), |p| {
+            schedule_json(p).trim_end().replace('\n', "\n      ")
+        });
+        let _ = writeln!(
+            s,
+            "    {{\"plan\": \"{}\", \"cpus\": {}, \"seed\": {}, \"tolerable\": {}, \
+             \"survival\": \"{}\", \"completed\": {}, \"violations\": {}, \
+             \"ipi_retries\": {}, \"watchdog_gaveup\": {}, \"evictions\": {}, \
+             \"fenced_rejoins\": {}, \"locks_stolen\": {}, \"degraded_flushes\": {}, \
+             \"late_acks_rejected\": {}, \"self_fences\": {}, \"ops_retried\": {}, \
+             \"retries_exhausted\": {}, \"steps\": {}, \"end_ns\": {},\n      \
+             \"schedule\": {schedule}}}{}",
+            escape(o.plan()),
             o.n_cpus,
-            json_escape(&o.fault_rules),
             o.seed,
-            o.tolerable,
+            o.tolerable(),
             o.survival.name(),
             o.completed,
             o.violations,
@@ -1238,17 +996,18 @@ pub fn survival_json(outcomes: &[ChaosOutcome], failures: &[String]) -> String {
             o.steps,
             o.end.as_nanos(),
             if i + 1 == outcomes.len() { "" } else { "," },
-        ));
+        );
     }
     s.push_str("  ],\n  \"failures\": [\n");
     for (i, f) in failures.iter().enumerate() {
-        s.push_str(&format!(
-            "    \"{}\"{}\n",
-            json_escape(f),
+        let _ = writeln!(
+            s,
+            "    \"{}\"{}",
+            escape(f),
             if i + 1 == failures.len() { "" } else { "," },
-        ));
+        );
     }
-    s.push_str(&format!("  ],\n  \"green\": {}\n}}\n", failures.is_empty()));
+    let _ = write!(s, "  ],\n  \"green\": {}\n}}\n", failures.is_empty());
     s
 }
 
@@ -1443,11 +1202,18 @@ mod tests {
     }
 
     #[test]
-    fn survival_json_carries_cpu_count_and_fault_rules() {
+    fn survival_json_carries_cpu_count_and_the_row_schedule() {
         let outcomes = vec![outcome_for(4, 3, "wrongful-evict")];
         let json = survival_json(&outcomes, &[]);
         assert!(json.contains("\"cpus\": 4"), "{json}");
-        assert!(json.contains("\"fault_rules\": \"stall(cpu3)\""), "{json}");
+        // The provenance column is the row's schedule as it ran: seed 3,
+        // parseable back by the replay reader.
+        let doc = machtlb_xpr::json::Json::parse(&json).expect("valid json");
+        let row = &doc.array_field("outcomes").expect("outcomes")[0];
+        let schedule = crate::schedule_from_json(row.field("schedule").expect("schedule"))
+            .expect("the row's schedule parses");
+        assert_eq!(Some(&schedule), outcomes[0].schedule.as_ref());
+        assert_eq!(schedule.seed, 3);
         assert!(json.contains("\"late_acks_rejected\":"), "{json}");
         assert!(json.contains("\"self_fences\":"), "{json}");
         assert!(json.contains("\"ops_retried\":"), "{json}");
@@ -1466,9 +1232,12 @@ mod tests {
         assert!(json.contains("\"green\": true"), "{json}");
         assert!(json.contains("\"plan\": \"halt-resp-preack\""), "{json}");
         assert!(json.contains("\"evictions\": 1"), "{json}");
-        let red = survival_json(&outcomes, &["plan x seed 1: \"bad\"".to_string()]);
+        let failure = "plan x seed 1: \"bad\"".to_string();
+        let red = survival_json(&outcomes, std::slice::from_ref(&failure));
         assert!(red.contains("\"green\": false"), "{red}");
-        assert!(red.contains("\\\"bad\\\""), "quotes are escaped: {red}");
+        let doc = machtlb_xpr::json::Json::parse(&red).expect("valid json");
+        let failures = doc.array_field("failures").expect("failures");
+        assert_eq!(failures[0].as_str(), Some(failure.as_str()));
     }
 
     #[test]
@@ -1562,14 +1331,14 @@ mod tests {
 
     #[test]
     fn envelope_check_flags_both_polarities() {
-        let mut good = run_chaos(&ChaosConfig::new(4, 7, None));
+        let mut good = outcome_for(4, 7, "none");
         assert!(check_envelope(std::slice::from_ref(&good)).is_empty());
         // A tolerable outcome reported fatal must be flagged...
         good.survival = Survival::DetectedFatal;
         assert_eq!(check_envelope(std::slice::from_ref(&good)).len(), 1);
         // ...and a beyond-envelope outcome that passed must be flagged.
         good.survival = Survival::Tolerated;
-        good.tolerable = false;
+        good.schedule.as_mut().expect("a plan ran").tolerable = false;
         let msgs = check_envelope(std::slice::from_ref(&good));
         assert_eq!(msgs.len(), 1);
         assert!(msgs[0].contains("PASSED silently"), "{}", msgs[0]);

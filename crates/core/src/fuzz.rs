@@ -1,25 +1,26 @@
 //! Adversarial fault-schedule fuzzing: randomized compound-fault
-//! schedules, replayable serialization, and a delta-debugging shrinker.
+//! schedules and a delta-debugging shrinker.
 //!
-//! The soak harness cycles five hand-written fault shapes — it explores
-//! the schedules we already thought of. This module samples schedules the
-//! catalog never wrote: a [`FaultSchedule`] composes an arbitrary number
-//! of timed fault events (halts, offline/revive windows, dispatch
-//! stalls including the 100 ms wrongful-eviction trigger, and the IPI
-//! perturbation rules) against victim sets of three or more processors
-//! spanning NUMA nodes and fanout-relay positions.
+//! The chaos catalog and the soak harness are hand-written
+//! [`FaultSchedule`]s — they explore the schedules we already thought of.
+//! This module samples schedules nobody wrote: arbitrary numbers of timed
+//! fault events (halts, offline/revive windows, dispatch stalls including
+//! the 100 ms wrongful-eviction trigger, and the IPI perturbation rules)
+//! against victim sets of three or more processors spanning NUMA nodes
+//! and fanout-relay positions.
 //!
 //! Three properties make the fuzzer usable rather than merely noisy:
 //!
-//! - **Determinism.** A schedule compiles to a [`ChaosConfig`] whose
-//!   faults are counter- or time-triggered, never randomly drawn at run
-//!   time, so the same schedule always replays bit-identically. The
-//!   generator itself is a [`SplitMix64`] stream: the same generator seed
-//!   always produces the same schedule sequence.
+//! - **Determinism.** A schedule's faults are counter- or time-triggered,
+//!   never randomly drawn at run time, so the same schedule always
+//!   replays bit-identically. The generator itself is a [`SplitMix64`]
+//!   stream: the same generator seed always produces the same schedule
+//!   sequence.
 //! - **Serialization.** Every schedule round-trips through JSON
-//!   ([`schedule_json`] / [`parse_schedule`]) losslessly — all instants
-//!   are integral microseconds — so a failing schedule is a committable,
-//!   replayable artifact: `machtlb replay --schedule repro.json`.
+//!   ([`schedule_json`](crate::schedule_json) /
+//!   [`parse_schedule`](crate::parse_schedule)) losslessly, so a failing
+//!   schedule is a committable, replayable artifact:
+//!   `machtlb replay --schedule repro.json`.
 //! - **Shrinking.** On a red run, [`shrink`] removes events, normalizes
 //!   sabotage flags toward their defaults, retimes what remains onto
 //!   canonical instants, and shrinks the machine to the victims actually
@@ -31,19 +32,11 @@
 //! unrecovered watchdog give-up, an exhausted FailOp budget, or a
 //! campaign that never completed.
 
-use machtlb_sim::{
-    CpuId, Dur, FaultPlan, Halt, IpiDelay, IpiDrop, IpiDuplicate, IpiReorder, IsrStretch, Offline,
-    ResponderStall, Time, Topology,
+use crate::chaos::{ChaosOutcome, Survival};
+use crate::schedule::{
+    offline_floor_us, revive_floor_us, run_schedule, FaultSchedule, ScheduleEvent,
+    WRONGFUL_STALL_US,
 };
-
-use crate::chaos::{run_chaos, ChaosConfig, ChaosOutcome, ChaosPlan, Survival};
-use crate::health::RecoveryPolicy;
-use crate::kernel::SHOOTDOWN_VECTOR;
-
-/// A dispatch stretch at or beyond this length overshoots the chaos
-/// watchdog's give-up horizon: the stalled-but-alive victim is wrongly
-/// evicted and must self-fence on resume — the wrongful-eviction trigger.
-pub const WRONGFUL_STALL_US: u64 = 100_000;
 
 // ---------------------------------------------------------------------
 // The RNG
@@ -83,395 +76,6 @@ impl SplitMix64 {
     pub fn chance(&mut self, pct: u64) -> bool {
         self.below(100) < pct
     }
-}
-
-// ---------------------------------------------------------------------
-// The schedule
-// ---------------------------------------------------------------------
-
-/// One timed fault event inside a [`FaultSchedule`]. All instants and
-/// durations are integral microseconds, so serialization is lossless.
-///
-/// The five IPI/dispatch perturbation rules (`Delay` … `IsrStretch`) are
-/// *singletons*: the machine layer holds at most one of each, and
-/// [`FaultSchedule::validate`] rejects duplicates. The processor-targeted
-/// rules (`Stall`, `Halt`, `Offline`) are event lists — a schedule arms
-/// as many as it likes, against as many victims as it likes, with at
-/// most one fail-stop (`Halt` or `Offline`) per victim.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub enum ScheduleEvent {
-    /// Delay every `every_nth` shootdown IPI by `extra_us`.
-    Delay {
-        /// Fire on every `every_nth` matching send (1 = all).
-        every_nth: u64,
-        /// Extra delivery latency, microseconds.
-        extra_us: u64,
-    },
-    /// Drop every `every_nth` shootdown IPI, `max_drops` in total.
-    Drop {
-        /// Fire on every `every_nth` matching send (1 = all).
-        every_nth: u64,
-        /// Total drops across the run.
-        max_drops: u64,
-    },
-    /// Deliver every `every_nth` shootdown IPI twice.
-    Duplicate {
-        /// Fire on every `every_nth` matching send (1 = all).
-        every_nth: u64,
-        /// How much later the duplicate copy lands, microseconds.
-        extra_us: u64,
-    },
-    /// Hold every `every_nth` shootdown IPI back so later sends pass it.
-    Reorder {
-        /// Fire on every `every_nth` matching send (1 = all).
-        every_nth: u64,
-        /// How long the held delivery waits, microseconds.
-        hold_us: u64,
-    },
-    /// Stretch every device-class dispatch (long interrupt-masked
-    /// windows on responders).
-    IsrStretch {
-        /// Extra entry cost per dispatch, microseconds.
-        extra_us: u64,
-    },
-    /// Stall `cpu`'s next `times` shootdown dispatches by `extra_us`
-    /// each. At [`WRONGFUL_STALL_US`] and beyond this is the
-    /// wrongful-eviction trigger.
-    Stall {
-        /// The stalled processor.
-        cpu: u32,
-        /// Extra dispatch cost per stalled dispatch, microseconds.
-        extra_us: u64,
-        /// Dispatches stalled before the rule exhausts.
-        times: u64,
-    },
-    /// Fail-stop `cpu` forever at `at_us`.
-    Halt {
-        /// The halted processor.
-        cpu: u32,
-        /// The halt instant, microseconds.
-        at_us: u64,
-    },
-    /// Take `cpu` offline at `at_us` and revive it (through the fenced
-    /// rejoin) at `revive_at_us`.
-    Offline {
-        /// The processor taken offline.
-        cpu: u32,
-        /// The offline instant, microseconds.
-        at_us: u64,
-        /// The revival instant, microseconds (must be later).
-        revive_at_us: u64,
-    },
-}
-
-impl ScheduleEvent {
-    /// The event's kind name, as serialized in the JSON `kind` field.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            ScheduleEvent::Delay { .. } => "delay",
-            ScheduleEvent::Drop { .. } => "drop",
-            ScheduleEvent::Duplicate { .. } => "duplicate",
-            ScheduleEvent::Reorder { .. } => "reorder",
-            ScheduleEvent::IsrStretch { .. } => "isr-stretch",
-            ScheduleEvent::Stall { .. } => "stall",
-            ScheduleEvent::Halt { .. } => "halt",
-            ScheduleEvent::Offline { .. } => "offline",
-        }
-    }
-
-    /// The targeted processor, for the cpu-targeted kinds.
-    pub fn cpu(&self) -> Option<u32> {
-        match *self {
-            ScheduleEvent::Stall { cpu, .. }
-            | ScheduleEvent::Halt { cpu, .. }
-            | ScheduleEvent::Offline { cpu, .. } => Some(cpu),
-            _ => None,
-        }
-    }
-
-    fn is_fail_stop(&self) -> bool {
-        matches!(
-            self,
-            ScheduleEvent::Halt { .. } | ScheduleEvent::Offline { .. }
-        )
-    }
-
-    fn is_singleton(&self) -> bool {
-        self.cpu().is_none()
-    }
-}
-
-/// A complete, self-contained fuzz schedule: machine shape, kernel
-/// sabotage flags, and the fault-event list. Compiles to a
-/// [`ChaosConfig`] via [`FaultSchedule::compile`]; serializes via
-/// [`schedule_json`]; replays bit-identically.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct FaultSchedule {
-    /// The machine seed (device-interrupt jitter).
-    pub seed: u64,
-    /// Processors in the machine (>= 4).
-    pub n_cpus: usize,
-    /// Reprotect/restore rounds the driver performs.
-    pub rounds: u64,
-    /// NUMA nodes (1 = the flat single-bus machine).
-    pub nodes: usize,
-    /// Multicast IPI fanout degree (1 = the paper's unicast loop).
-    pub fanout: usize,
-    /// Whether eviction/rejoin fencing is enabled. `false` is the
-    /// beyond-envelope sabotage used by known-bad schedules.
-    pub fencing: bool,
-    /// Arm the final read-only reprotect before the sentinel — the
-    /// stale-translation probe for revived and self-fencing victims.
-    pub final_ro: bool,
-    /// Park a never-releasing lock holder on the last processor (which
-    /// the schedule must then fail-stop).
-    pub grab_lock: bool,
-    /// Run a redundant co-initiating driver on processor 1.
-    pub co_initiator: bool,
-    /// Recover dead lock holders through [`RecoveryPolicy::FailOp`]
-    /// (retry driver) instead of the default fence-and-steal.
-    pub failop: bool,
-    /// Whether the schedule is declared inside the tolerable envelope: a
-    /// red run on a tolerable schedule is a finding, a green run on an
-    /// intolerable one is a silent pass.
-    pub tolerable: bool,
-    /// The fault events.
-    pub events: Vec<ScheduleEvent>,
-}
-
-/// The revival instant the generator uses, scaled with machine size like
-/// the chaos catalog: the revival must land after the finale's reprotect
-/// or the stale-translation probe never probes anything.
-pub fn revive_floor_us(n_cpus: usize) -> u64 {
-    120_000u64.max(50_000 + 2_500 * n_cpus as u64)
-}
-
-/// The offline/halt instant floor: the victim must have won the
-/// serialized bus and cached its stale entry before it can die holding
-/// one.
-pub fn offline_floor_us(n_cpus: usize) -> u64 {
-    2_000u64.max(100 * n_cpus as u64)
-}
-
-impl FaultSchedule {
-    /// The distinct processors targeted by cpu-targeted events, sorted.
-    pub fn victims(&self) -> Vec<u32> {
-        let mut v: Vec<u32> = self.events.iter().filter_map(|e| e.cpu()).collect();
-        v.sort_unstable();
-        v.dedup();
-        v
-    }
-
-    /// Structural validity: every event names a live non-initiator
-    /// processor, budgets and instants are sane, singleton rules are not
-    /// duplicated, no victim is fail-stopped twice, and the sabotage
-    /// flags are self-consistent (a parked lock holder must actually be
-    /// fail-stopped or the drivers spin on a live holder forever).
-    pub fn validate(&self) -> Result<(), String> {
-        if self.n_cpus < 4 {
-            return Err(format!("n_cpus {} < 4", self.n_cpus));
-        }
-        if self.rounds == 0 {
-            return Err("rounds must be at least 1".into());
-        }
-        if self.nodes == 0 || self.fanout == 0 {
-            return Err("nodes and fanout must be at least 1".into());
-        }
-        if self.nodes > 1 {
-            let node_cpus = self.n_cpus.div_ceil(self.nodes);
-            if node_cpus * (self.nodes - 1) >= self.n_cpus {
-                return Err(format!(
-                    "{} nodes leave no processor for the last node on {} cpus",
-                    self.nodes, self.n_cpus
-                ));
-            }
-        }
-        let last = self.n_cpus as u32 - 1;
-        let mut seen_singleton: Vec<&'static str> = Vec::new();
-        let mut fail_stopped: Vec<u32> = Vec::new();
-        for e in &self.events {
-            if e.is_singleton() {
-                if seen_singleton.contains(&e.kind()) {
-                    return Err(format!("duplicate singleton rule: {}", e.kind()));
-                }
-                seen_singleton.push(e.kind());
-            }
-            if let Some(cpu) = e.cpu() {
-                if cpu == 0 {
-                    return Err(format!("{} targets cpu0, the primary driver", e.kind()));
-                }
-                if cpu as usize >= self.n_cpus {
-                    return Err(format!("{} targets cpu{cpu} out of range", e.kind()));
-                }
-                if e.is_fail_stop() {
-                    if fail_stopped.contains(&cpu) {
-                        return Err(format!("cpu{cpu} fail-stopped twice"));
-                    }
-                    fail_stopped.push(cpu);
-                }
-            }
-            match *e {
-                ScheduleEvent::Delay { every_nth: 0, .. }
-                | ScheduleEvent::Drop { every_nth: 0, .. }
-                | ScheduleEvent::Duplicate { every_nth: 0, .. }
-                | ScheduleEvent::Reorder { every_nth: 0, .. } => {
-                    return Err(format!("{}: every_nth must be > 0", e.kind()));
-                }
-                ScheduleEvent::Stall { times: 0, .. } => {
-                    return Err("stall: times must be > 0".into());
-                }
-                ScheduleEvent::Offline {
-                    at_us,
-                    revive_at_us,
-                    ..
-                } if revive_at_us <= at_us => {
-                    return Err("offline: revive_at_us must be after at_us".into());
-                }
-                _ => {}
-            }
-        }
-        if self.grab_lock
-            && !self
-                .events
-                .iter()
-                .any(|e| e.is_fail_stop() && e.cpu() == Some(last))
-        {
-            return Err(format!(
-                "grab_lock parks a never-releasing holder on cpu{last}, which \
-                 must be fail-stopped or every driver spins on it forever"
-            ));
-        }
-        Ok(())
-    }
-
-    /// Compiles the schedule into a runnable [`ChaosConfig`]. Bounds are
-    /// scaled with the processor count like the soak harness (with extra
-    /// headroom: fuzz schedules stack wrongful stalls and late revives
-    /// that the catalog never combines).
-    pub fn compile(&self) -> ChaosConfig {
-        let v = SHOOTDOWN_VECTOR;
-        let mut fault = FaultPlan::none(v);
-        for e in &self.events {
-            match *e {
-                ScheduleEvent::Delay {
-                    every_nth,
-                    extra_us,
-                } => {
-                    fault.delay = Some(IpiDelay {
-                        every_nth,
-                        extra: Dur::micros(extra_us),
-                    });
-                }
-                ScheduleEvent::Drop {
-                    every_nth,
-                    max_drops,
-                } => {
-                    fault.drop = Some(IpiDrop {
-                        every_nth,
-                        max_drops,
-                    });
-                }
-                ScheduleEvent::Duplicate {
-                    every_nth,
-                    extra_us,
-                } => {
-                    fault.duplicate = Some(IpiDuplicate {
-                        every_nth,
-                        extra: Dur::micros(extra_us),
-                    });
-                }
-                ScheduleEvent::Reorder { every_nth, hold_us } => {
-                    fault.reorder = Some(IpiReorder {
-                        every_nth,
-                        hold: Dur::micros(hold_us),
-                    });
-                }
-                ScheduleEvent::IsrStretch { extra_us } => {
-                    fault.isr_stretch = Some(IsrStretch {
-                        extra: Dur::micros(extra_us),
-                    });
-                }
-                ScheduleEvent::Stall {
-                    cpu,
-                    extra_us,
-                    times,
-                } => {
-                    fault.stalls.push(ResponderStall {
-                        cpu: CpuId::new(cpu),
-                        extra: Dur::micros(extra_us),
-                        times,
-                    });
-                }
-                ScheduleEvent::Halt { cpu, at_us } => {
-                    fault.halts.push(Halt {
-                        cpu: CpuId::new(cpu),
-                        at: Time::from_micros(at_us),
-                    });
-                }
-                ScheduleEvent::Offline {
-                    cpu,
-                    at_us,
-                    revive_at_us,
-                } => {
-                    fault.offlines.push(Offline {
-                        cpu: CpuId::new(cpu),
-                        at: Time::from_micros(at_us),
-                        revive_at: Time::from_micros(revive_at_us),
-                    });
-                }
-            }
-        }
-        let plan = ChaosPlan {
-            name: "fuzz",
-            fault,
-            queue_capacity: None,
-            poison_cpu: None,
-            watchdog_enabled: true,
-            fencing: self.fencing,
-            final_ro: self.final_ro,
-            grab_lock: self.grab_lock,
-            policy: if self.failop {
-                RecoveryPolicy::FailOp
-            } else {
-                RecoveryPolicy::FenceAndSteal
-            },
-            failop_retries: 3,
-            co_initiator: self.co_initiator,
-            tolerable: self.tolerable,
-        };
-        let mut cfg = ChaosConfig::new(self.n_cpus, self.seed, Some(plan));
-        cfg.rounds = self.rounds;
-        // Dead victims are given up on sequentially, ~75 ms of watchdog
-        // horizon each, and every wrongful stall adds its own stretch
-        // before the victim self-fences — so the wall-clock budget must
-        // scale with the fail-stop count, not just the machine size.
-        let fail_stops = self.events.iter().filter(|e| e.is_fail_stop()).count() as u64;
-        let wrongful = self
-            .events
-            .iter()
-            .filter(|e| {
-                matches!(e, ScheduleEvent::Stall { extra_us, .. } if *extra_us >= WRONGFUL_STALL_US)
-            })
-            .count() as u64;
-        cfg.max_steps = 8_000_000 + self.n_cpus as u64 * 750_000;
-        cfg.limit = Time::from_micros(
-            300_000 + self.n_cpus as u64 * 6_000 + 90_000 * fail_stops + 150_000 * wrongful,
-        );
-        if self.nodes > 1 {
-            cfg.kconfig.topology = Some(Topology::numa(
-                self.nodes,
-                self.n_cpus.div_ceil(self.nodes),
-                Dur::micros(4),
-            ));
-        }
-        cfg.kconfig.fanout = self.fanout;
-        cfg
-    }
-}
-
-/// Runs one schedule to its [`ChaosOutcome`].
-pub fn run_schedule(s: &FaultSchedule) -> ChaosOutcome {
-    run_chaos(&s.compile())
 }
 
 /// The red predicate: a run that was caught rather than survived.
@@ -646,13 +250,12 @@ pub fn generate_schedule(rng: &mut SplitMix64, n_cpus: usize, rounds: u64) -> Fa
         rounds,
         nodes,
         fanout,
-        fencing: true,
         final_ro,
         grab_lock,
         co_initiator,
         failop,
-        tolerable: true,
         events,
+        ..FaultSchedule::default()
     };
     debug_assert!(s.validate().is_ok(), "{:?}", s.validate());
     s
@@ -661,398 +264,6 @@ pub fn generate_schedule(rng: &mut SplitMix64, n_cpus: usize, rounds: u64) -> Fa
 fn pick<'a, T>(rng: &mut SplitMix64, options: &'a [T]) -> &'a [T] {
     let i = rng.below(options.len() as u64) as usize;
     &options[i..]
-}
-
-// ---------------------------------------------------------------------
-// Serialization
-// ---------------------------------------------------------------------
-
-fn push_event_json(s: &mut String, e: &ScheduleEvent) {
-    match *e {
-        ScheduleEvent::Delay {
-            every_nth,
-            extra_us,
-        } => s.push_str(&format!(
-            "{{\"kind\": \"delay\", \"every_nth\": {every_nth}, \"extra_us\": {extra_us}}}"
-        )),
-        ScheduleEvent::Drop {
-            every_nth,
-            max_drops,
-        } => s.push_str(&format!(
-            "{{\"kind\": \"drop\", \"every_nth\": {every_nth}, \"max_drops\": {max_drops}}}"
-        )),
-        ScheduleEvent::Duplicate {
-            every_nth,
-            extra_us,
-        } => s.push_str(&format!(
-            "{{\"kind\": \"duplicate\", \"every_nth\": {every_nth}, \"extra_us\": {extra_us}}}"
-        )),
-        ScheduleEvent::Reorder { every_nth, hold_us } => s.push_str(&format!(
-            "{{\"kind\": \"reorder\", \"every_nth\": {every_nth}, \"hold_us\": {hold_us}}}"
-        )),
-        ScheduleEvent::IsrStretch { extra_us } => s.push_str(&format!(
-            "{{\"kind\": \"isr-stretch\", \"extra_us\": {extra_us}}}"
-        )),
-        ScheduleEvent::Stall {
-            cpu,
-            extra_us,
-            times,
-        } => s.push_str(&format!(
-            "{{\"kind\": \"stall\", \"cpu\": {cpu}, \"extra_us\": {extra_us}, \"times\": {times}}}"
-        )),
-        ScheduleEvent::Halt { cpu, at_us } => s.push_str(&format!(
-            "{{\"kind\": \"halt\", \"cpu\": {cpu}, \"at_us\": {at_us}}}"
-        )),
-        ScheduleEvent::Offline {
-            cpu,
-            at_us,
-            revive_at_us,
-        } => s.push_str(&format!(
-            "{{\"kind\": \"offline\", \"cpu\": {cpu}, \"at_us\": {at_us}, \
-             \"revive_at_us\": {revive_at_us}}}"
-        )),
-    }
-}
-
-/// Renders a schedule as JSON (the `repro.json` format; see DESIGN.md
-/// §17 for the schema). Integral microseconds throughout: the round trip
-/// through [`parse_schedule`] is lossless and the replay bit-identical.
-pub fn schedule_json(s: &FaultSchedule) -> String {
-    let mut out = format!(
-        "{{\n  \"version\": 1,\n  \"seed\": {},\n  \"cpus\": {},\n  \"rounds\": {},\n  \
-         \"nodes\": {},\n  \"fanout\": {},\n  \"fencing\": {},\n  \"final_ro\": {},\n  \
-         \"grab_lock\": {},\n  \"co_initiator\": {},\n  \"failop\": {},\n  \
-         \"tolerable\": {},\n  \"events\": [\n",
-        s.seed,
-        s.n_cpus,
-        s.rounds,
-        s.nodes,
-        s.fanout,
-        s.fencing,
-        s.final_ro,
-        s.grab_lock,
-        s.co_initiator,
-        s.failop,
-        s.tolerable,
-    );
-    for (i, e) in s.events.iter().enumerate() {
-        out.push_str("    ");
-        push_event_json(&mut out, e);
-        out.push_str(if i + 1 == s.events.len() { "\n" } else { ",\n" });
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// A minimal JSON value, just enough for the schedule schema (the repo
-/// vendors no JSON dependency). Numbers are unsigned integers — the
-/// schema has no floats by construction.
-#[derive(Clone, Debug, PartialEq)]
-enum Json {
-    Obj(Vec<(String, Json)>),
-    Arr(Vec<Json>),
-    Str(String),
-    Num(u64),
-    Bool(bool),
-}
-
-struct Parser<'a> {
-    b: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(s: &'a str) -> Parser<'a> {
-        Parser {
-            b: s.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn skip_ws(&mut self) {
-        while self
-            .b
-            .get(self.pos)
-            .is_some_and(|c| matches!(c, b' ' | b'\t' | b'\n' | b'\r'))
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn peek(&mut self) -> Option<u8> {
-        self.skip_ws();
-        self.b.get(self.pos).copied()
-    }
-
-    fn expect(&mut self, c: u8) -> Result<(), String> {
-        match self.peek() {
-            Some(got) if got == c => {
-                self.pos += 1;
-                Ok(())
-            }
-            got => Err(format!(
-                "schedule json: expected '{}' at byte {}, found {:?}",
-                c as char,
-                self.pos,
-                got.map(|g| g as char)
-            )),
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.keyword("true", Json::Bool(true)),
-            Some(b'f') => self.keyword("false", Json::Bool(false)),
-            Some(c) if c.is_ascii_digit() => self.number(),
-            other => Err(format!(
-                "schedule json: unexpected {:?} at byte {}",
-                other.map(|c| c as char),
-                self.pos
-            )),
-        }
-    }
-
-    fn keyword(&mut self, word: &str, v: Json) -> Result<Json, String> {
-        if self.b[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(v)
-        } else {
-            Err(format!("schedule json: bad keyword at byte {}", self.pos))
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        while self.b.get(self.pos).is_some_and(u8::is_ascii_digit) {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.b[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .map(Json::Num)
-            .ok_or_else(|| format!("schedule json: bad number at byte {start}"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.b.get(self.pos).copied() {
-                None => return Err("schedule json: unterminated string".into()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self
-                        .b
-                        .get(self.pos)
-                        .copied()
-                        .ok_or("schedule json: bad escape")?;
-                    out.push(match esc {
-                        b'"' => '"',
-                        b'\\' => '\\',
-                        b'/' => '/',
-                        b'n' => '\n',
-                        b't' => '\t',
-                        b'r' => '\r',
-                        other => {
-                            return Err(format!(
-                                "schedule json: unsupported escape \\{}",
-                                other as char
-                            ))
-                        }
-                    });
-                    self.pos += 1;
-                }
-                Some(c) => {
-                    // Multi-byte UTF-8 is copied through verbatim.
-                    let ch_len = match c {
-                        0x00..=0x7F => 1,
-                        0xC0..=0xDF => 2,
-                        0xE0..=0xEF => 3,
-                        _ => 4,
-                    };
-                    let end = (self.pos + ch_len).min(self.b.len());
-                    out.push_str(
-                        std::str::from_utf8(&self.b[self.pos..end])
-                            .map_err(|_| "schedule json: bad utf-8")?,
-                    );
-                    self.pos = end;
-                }
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.expect(b'{')?;
-        let mut fields = Vec::new();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            let key = self.string()?;
-            self.expect(b':')?;
-            fields.push((key, self.value()?));
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return Err(format!("schedule json: bad object at byte {}", self.pos)),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(format!("schedule json: bad array at byte {}", self.pos)),
-            }
-        }
-    }
-}
-
-impl Json {
-    fn field<'a>(&'a self, name: &str) -> Result<&'a Json, String> {
-        match self {
-            Json::Obj(fields) => fields
-                .iter()
-                .find(|(k, _)| k == name)
-                .map(|(_, v)| v)
-                .ok_or_else(|| format!("schedule json: missing field \"{name}\"")),
-            _ => Err(format!(
-                "schedule json: \"{name}\" looked up on a non-object"
-            )),
-        }
-    }
-
-    fn num(&self, name: &str) -> Result<u64, String> {
-        match self.field(name)? {
-            Json::Num(n) => Ok(*n),
-            other => Err(format!(
-                "schedule json: \"{name}\" is not a number: {other:?}"
-            )),
-        }
-    }
-
-    fn bool(&self, name: &str) -> Result<bool, String> {
-        match self.field(name)? {
-            Json::Bool(b) => Ok(*b),
-            other => Err(format!(
-                "schedule json: \"{name}\" is not a bool: {other:?}"
-            )),
-        }
-    }
-
-    fn str(&self, name: &str) -> Result<&str, String> {
-        match self.field(name)? {
-            Json::Str(s) => Ok(s),
-            other => Err(format!(
-                "schedule json: \"{name}\" is not a string: {other:?}"
-            )),
-        }
-    }
-}
-
-fn parse_event(v: &Json) -> Result<ScheduleEvent, String> {
-    Ok(match v.str("kind")? {
-        "delay" => ScheduleEvent::Delay {
-            every_nth: v.num("every_nth")?,
-            extra_us: v.num("extra_us")?,
-        },
-        "drop" => ScheduleEvent::Drop {
-            every_nth: v.num("every_nth")?,
-            max_drops: v.num("max_drops")?,
-        },
-        "duplicate" => ScheduleEvent::Duplicate {
-            every_nth: v.num("every_nth")?,
-            extra_us: v.num("extra_us")?,
-        },
-        "reorder" => ScheduleEvent::Reorder {
-            every_nth: v.num("every_nth")?,
-            hold_us: v.num("hold_us")?,
-        },
-        "isr-stretch" => ScheduleEvent::IsrStretch {
-            extra_us: v.num("extra_us")?,
-        },
-        "stall" => ScheduleEvent::Stall {
-            cpu: v.num("cpu")? as u32,
-            extra_us: v.num("extra_us")?,
-            times: v.num("times")?,
-        },
-        "halt" => ScheduleEvent::Halt {
-            cpu: v.num("cpu")? as u32,
-            at_us: v.num("at_us")?,
-        },
-        "offline" => ScheduleEvent::Offline {
-            cpu: v.num("cpu")? as u32,
-            at_us: v.num("at_us")?,
-            revive_at_us: v.num("revive_at_us")?,
-        },
-        other => return Err(format!("schedule json: unknown event kind \"{other}\"")),
-    })
-}
-
-/// Parses a schedule produced by [`schedule_json`] (or hand-edited — the
-/// result is validated). The inverse of the serializer: parse ∘ render
-/// is the identity.
-pub fn parse_schedule(text: &str) -> Result<FaultSchedule, String> {
-    let mut p = Parser::new(text);
-    let root = p.value()?;
-    p.skip_ws();
-    if p.pos != p.b.len() {
-        return Err(format!("schedule json: trailing garbage at byte {}", p.pos));
-    }
-    let version = root.num("version")?;
-    if version != 1 {
-        return Err(format!("schedule json: unsupported version {version}"));
-    }
-    let events = match root.field("events")? {
-        Json::Arr(items) => items
-            .iter()
-            .map(parse_event)
-            .collect::<Result<Vec<_>, _>>()?,
-        other => {
-            return Err(format!(
-                "schedule json: \"events\" is not an array: {other:?}"
-            ))
-        }
-    };
-    let s = FaultSchedule {
-        seed: root.num("seed")?,
-        n_cpus: root.num("cpus")? as usize,
-        rounds: root.num("rounds")?,
-        nodes: root.num("nodes")? as usize,
-        fanout: root.num("fanout")? as usize,
-        fencing: root.bool("fencing")?,
-        final_ro: root.bool("final_ro")?,
-        grab_lock: root.bool("grab_lock")?,
-        co_initiator: root.bool("co_initiator")?,
-        failop: root.bool("failop")?,
-        tolerable: root.bool("tolerable")?,
-        events,
-    };
-    s.validate()?;
-    Ok(s)
 }
 
 // ---------------------------------------------------------------------
@@ -1158,25 +369,13 @@ impl Coverage {
         "offline",
     ];
 
-    fn kind_index(e: &ScheduleEvent) -> usize {
-        match e {
-            ScheduleEvent::Delay { .. } => 0,
-            ScheduleEvent::Drop { .. } => 1,
-            ScheduleEvent::Duplicate { .. } => 2,
-            ScheduleEvent::Reorder { .. } => 3,
-            ScheduleEvent::IsrStretch { .. } => 4,
-            ScheduleEvent::Stall { .. } => 5,
-            ScheduleEvent::Halt { .. } => 6,
-            ScheduleEvent::Offline { .. } => 7,
-        }
-    }
-
     fn absorb(&mut self, s: &FaultSchedule, survival: Survival) {
         self.schedules += 1;
         self.events += s.events.len() as u64;
         let node_cpus = (s.n_cpus / s.nodes) as u32;
         for e in &s.events {
-            self.by_kind[Coverage::kind_index(e)] += 1;
+            let kind = Coverage::KIND_NAMES.iter().position(|&k| k == e.kind());
+            self.by_kind[kind.expect("every kind is named")] += 1;
             if let ScheduleEvent::Stall { extra_us, .. } = e {
                 if *extra_us >= WRONGFUL_STALL_US {
                     self.wrongful_stalls += 1;
@@ -1211,7 +410,7 @@ impl Coverage {
 }
 
 /// A whole campaign's result.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct FuzzReport {
     /// The generator seed.
     pub seed: u64,
@@ -1236,10 +435,7 @@ pub fn run_fuzz(cfg: &FuzzConfig) -> FuzzReport {
     let mut report = FuzzReport {
         seed: cfg.seed,
         budget: cfg.budget,
-        runs: Vec::new(),
-        reds: 0,
-        coverage: Coverage::default(),
-        first_red: None,
+        ..FuzzReport::default()
     };
     for i in 0..cfg.budget {
         let n_cpus = if cfg.n_cpus == 0 {
@@ -1423,56 +619,31 @@ pub fn shrink(input: &FaultSchedule, max_replays: u64) -> Result<ShrinkReport, S
         }
 
         // Pass 2: normalize sabotage flags toward their defaults.
-        type FlagStep = (&'static str, fn(&mut FaultSchedule) -> bool);
-        let flags: [FlagStep; 7] = [
-            ("fencing -> true", |s| {
-                !s.fencing && {
-                    s.fencing = true;
-                    true
-                }
+        type Reset = (&'static str, fn(&mut FaultSchedule, &FaultSchedule));
+        let resets: [Reset; 11] = [
+            ("fencing -> true", |s, d| s.fencing = d.fencing),
+            ("final_ro -> false", |s, d| s.final_ro = d.final_ro),
+            ("grab_lock -> false", |s, d| s.grab_lock = d.grab_lock),
+            ("co_initiator -> false", |s, d| {
+                s.co_initiator = d.co_initiator
             }),
-            ("final_ro -> false", |s| {
-                s.final_ro && {
-                    s.final_ro = false;
-                    true
-                }
+            ("failop -> false", |s, d| s.failop = d.failop),
+            ("nodes -> 1", |s, d| s.nodes = d.nodes),
+            ("fanout -> 1", |s, d| s.fanout = d.fanout),
+            ("watchdog -> true", |s, d| s.watchdog = d.watchdog),
+            ("queue_capacity -> none", |s, d| {
+                s.queue_capacity = d.queue_capacity
             }),
-            ("grab_lock -> false", |s| {
-                s.grab_lock && {
-                    s.grab_lock = false;
-                    true
-                }
-            }),
-            ("co_initiator -> false", |s| {
-                s.co_initiator && {
-                    s.co_initiator = false;
-                    true
-                }
-            }),
-            ("failop -> false", |s| {
-                s.failop && {
-                    s.failop = false;
-                    true
-                }
-            }),
-            ("nodes -> 1", |s| {
-                s.nodes > 1 && {
-                    s.nodes = 1;
-                    true
-                }
-            }),
-            ("fanout -> 1", |s| {
-                s.fanout > 1 && {
-                    s.fanout = 1;
-                    true
-                }
+            ("poison -> none", |s, d| s.poison = d.poison),
+            ("failop_retries -> 3", |s, d| {
+                s.failop_retries = d.failop_retries
             }),
         ];
-        for (name, apply) in flags {
+        let defaults = FaultSchedule::default();
+        for (name, reset) in resets {
             let mut candidate = cur.clone();
-            if apply(&mut candidate)
-                && sh.try_adopt(&mut cur, candidate, format!("normalized {name}"))
-            {
+            reset(&mut candidate, &defaults);
+            if candidate != cur && sh.try_adopt(&mut cur, candidate, format!("normalized {name}")) {
                 changed = true;
             }
         }
@@ -1551,25 +722,21 @@ pub fn shrink(input: &FaultSchedule, max_replays: u64) -> Result<ShrinkReport, S
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::schedule::{parse_schedule, schedule_json};
 
     fn wrongful_no_fence(n_cpus: usize) -> FaultSchedule {
         FaultSchedule {
             seed: 3,
             n_cpus,
-            rounds: 3,
-            nodes: 1,
-            fanout: 1,
             fencing: false,
             final_ro: true,
-            grab_lock: false,
-            co_initiator: false,
-            failop: false,
             tolerable: false,
             events: vec![ScheduleEvent::Stall {
                 cpu: n_cpus as u32 - 1,
                 extra_us: WRONGFUL_STALL_US,
                 times: 1,
             }],
+            ..FaultSchedule::default()
         }
     }
 
@@ -1624,6 +791,37 @@ mod tests {
              {\"kind\": \"delay\", \"every_nth\": 2, \"extra_us\": 9},\n",
         );
         assert!(parse_schedule(&dup).is_err(), "duplicate singleton: {dup}");
+        // Out-of-range and non-integral numbers are rejected, never
+        // truncated: cpu 2^32 + 7 would otherwise replay as a stall on
+        // cpu7.
+        let opt =
+            |field: &str, value: &str| format!("\"tolerable\": false,\n  \"{field}\": {value},\n");
+        for (from, to) in [
+            ("\"cpu\": 7".to_string(), "\"cpu\": 4294967303".to_string()),
+            ("\"cpus\": 8".into(), "\"cpus\": -8".into()),
+            ("\"rounds\": 3".into(), "\"rounds\": 3.5".into()),
+            ("\"cpus\": 8".into(), "\"cpus\": 1000000000".into()),
+            (
+                "\"extra_us\": 100000".into(),
+                "\"extra_us\": 18446744073709552".into(),
+            ),
+            (
+                "\"tolerable\": false,\n".into(),
+                opt("poison", "4294967296"),
+            ),
+            (
+                "\"tolerable\": false,\n".into(),
+                opt("failop_retries", "4294967296"),
+            ),
+            (
+                "\"tolerable\": false,\n".into(),
+                opt("queue_capacity", "1e3"),
+            ),
+        ] {
+            let text = good.replace(&from, &to);
+            assert_ne!(text, good);
+            assert!(parse_schedule(&text).is_err(), "{text}");
+        }
     }
 
     #[test]

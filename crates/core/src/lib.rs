@@ -70,6 +70,7 @@ mod kernel;
 mod op;
 mod queue;
 mod responder;
+mod schedule;
 mod soak;
 mod state;
 mod strategy;
@@ -77,14 +78,13 @@ mod strategy;
 pub use access::{try_access, AccessOutcome, MemOp};
 pub use chaos::{
     chaos_kconfig, chaos_matrix, check_envelope, plan_catalog, run_chaos, survival_json,
-    ChaosConfig, ChaosOutcome, ChaosPlan, Survival,
+    ChaosConfig, ChaosOutcome, Survival,
 };
 pub use checker::{Checker, Violation};
 pub use diagnose::stall_report;
 pub use fuzz::{
-    fuzz_json, generate_schedule, is_red, offline_floor_us, parse_schedule, revive_floor_us,
-    run_fuzz, run_schedule, schedule_json, shrink, Coverage, FaultSchedule, FuzzConfig, FuzzReport,
-    FuzzRun, ScheduleEvent, ShrinkReport, SplitMix64, WRONGFUL_STALL_US,
+    fuzz_json, generate_schedule, is_red, run_fuzz, shrink, Coverage, FuzzConfig, FuzzReport,
+    FuzzRun, ShrinkReport, SplitMix64,
 };
 pub use health::{
     evict, reclaim_dead_locks, EvictionReport, FencedRejoinProcess, HealthConfig, RecoveryPolicy,
@@ -97,7 +97,14 @@ pub use kernel::{
 pub use op::{FailOpDriver, OpOutcome, PmapOp, PmapOpProcess};
 pub use queue::{Action, ActionQueue, EnqueueOutcome};
 pub use responder::{enter_idle, ExitIdleProcess, ResponderProcess};
-pub use soak::{run_soak, soak_json, SoakConfig, SoakCycle, SoakOutcome};
+pub use schedule::{
+    offline_floor_us, parse_schedule, revive_floor_us, run_schedule, schedule_from_json,
+    schedule_json, FaultSchedule, ScheduleEvent, WRONGFUL_STALL_US,
+};
+pub use soak::{
+    run_soak, soak_cycle_schedule, soak_exhaustion_schedule, soak_json, SoakConfig, SoakCycle,
+    SoakOutcome,
+};
 pub use state::{
     queue_lock_channel, FrameAllocator, HasKernel, KernelConfig, KernelState, KernelStats,
     NodeCounters, PendingCommit, PhysMem, PmapRegistry, ShootdownRound, SpinMode, WatchdogConfig,

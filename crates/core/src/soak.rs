@@ -14,11 +14,11 @@
 //! Everything inherits the chaos harness's determinism: the same
 //! [`SoakConfig`] always produces a bit-identical [`SoakOutcome`].
 
-use machtlb_sim::{CpuId, Dur, FaultPlan, Halt, Offline, ResponderStall, Time};
+use machtlb_sim::Time;
+use machtlb_xpr::json::escape;
 
-use crate::chaos::{plan_catalog, run_chaos, ChaosConfig, ChaosOutcome, ChaosPlan, Survival};
-use crate::health::RecoveryPolicy;
-use crate::kernel::SHOOTDOWN_VECTOR;
+use crate::chaos::{run_chaos, ChaosConfig, Survival};
+use crate::schedule::{FaultSchedule, ScheduleEvent, WRONGFUL_STALL_US};
 
 /// One soak run's inputs.
 #[derive(Clone, Debug)]
@@ -66,8 +66,8 @@ impl SoakConfig {
 pub struct SoakCycle {
     /// Cycle index.
     pub cycle: u64,
-    /// The fault shape's plan name.
-    pub plan: &'static str,
+    /// The fault shape's schedule name.
+    pub plan: String,
     /// The derived machine seed.
     pub seed: u64,
     /// The cycle's verdict.
@@ -83,7 +83,7 @@ pub struct SoakCycle {
 }
 
 /// Everything a soak produced.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct SoakOutcome {
     /// Processors in the machine.
     pub n_cpus: usize,
@@ -120,139 +120,93 @@ pub struct SoakOutcome {
     pub log: Vec<SoakCycle>,
 }
 
-/// The rotating fault-shape family, by cycle index. Victims rotate
-/// through the writer processors so churn sweeps the machine.
-fn cycle_plan(cfg: &SoakConfig, cycle: u64) -> ChaosPlan {
-    let v = SHOOTDOWN_VECTOR;
+/// The schedule soak cycle `cycle` runs: the rotating fault-shape family
+/// by cycle index, with the cycle's derived machine seed and the
+/// configured rounds. Victims rotate through the writer processors so
+/// churn sweeps the machine.
+pub fn soak_cycle_schedule(cfg: &SoakConfig, cycle: u64) -> FaultSchedule {
     let n = cfg.n_cpus as u32;
-    let last = CpuId::new(n - 1);
     // Writers run on processors 1..n; rotate the victim among them but
     // keep clear of the driver on 0 (and of `last` only where a shape
     // pins its own process there).
-    let victim = CpuId::new(1 + (cycle % u64::from(n - 2)) as u32);
-    let victim2 = CpuId::new(1 + ((cycle + 1) % u64::from(n - 2)) as u32);
-    let mut base = plan_catalog(cfg.n_cpus)
-        .into_iter()
-        .find(|p| p.name == "none")
-        .expect("catalog has the none plan");
+    let victim = 1 + (cycle % u64::from(n - 2)) as u32;
+    let victim2 = 1 + ((cycle + 1) % u64::from(n - 2)) as u32;
+    let shape = |name: &str, events: Vec<ScheduleEvent>| FaultSchedule {
+        name: name.into(),
+        seed: cycle_seed(cfg, cycle),
+        n_cpus: cfg.n_cpus,
+        rounds: cfg.rounds,
+        events,
+        ..FaultSchedule::default()
+    };
+    let stall = |cpu, extra_us| ScheduleEvent::Stall {
+        cpu,
+        extra_us,
+        times: 1,
+    };
+    let halt = |cpu, at_us| ScheduleEvent::Halt { cpu, at_us };
     match cycle % 5 {
         // Fail-stop halt: a responder frozen mid-dispatch, then dead.
-        0 => {
-            base.name = "soak-halt";
-            base.fault = FaultPlan {
-                stalls: vec![ResponderStall {
-                    cpu: victim,
-                    extra: Dur::millis(8),
-                    times: 1,
-                }],
-                halts: vec![Halt {
-                    cpu: victim,
-                    at: Time::from_micros(2_000),
-                }],
-                ..FaultPlan::none(v)
-            };
-        }
+        0 => shape("soak-halt", vec![stall(victim, 8_000), halt(victim, 2_000)]),
         // Offline mid-shootdown, revive through the fence.
-        1 => {
-            base.name = "soak-offline-revive";
-            base.final_ro = true;
-            base.fault = FaultPlan {
-                stalls: vec![ResponderStall {
-                    cpu: victim,
-                    extra: Dur::millis(8),
-                    times: 1,
-                }],
-                offlines: vec![Offline {
-                    cpu: victim,
-                    at: Time::from_micros(2_000),
-                    revive_at: Time::from_micros(120_000),
-                }],
-                ..FaultPlan::none(v)
-            };
-        }
+        1 => FaultSchedule {
+            final_ro: true,
+            ..shape(
+                "soak-offline-revive",
+                vec![
+                    stall(victim, 8_000),
+                    ScheduleEvent::Offline {
+                        cpu: victim,
+                        at_us: 2_000,
+                        revive_at_us: 120_000,
+                    },
+                ],
+            )
+        },
         // Wrongful eviction: slow-but-alive, self-fenced on resume.
-        2 => {
-            base.name = "soak-wrongful-evict";
-            base.final_ro = true;
-            base.fault = FaultPlan {
-                stalls: vec![ResponderStall {
-                    cpu: victim,
-                    extra: Dur::millis(100),
-                    times: 1,
-                }],
-                ..FaultPlan::none(v)
-            };
-        }
+        2 => FaultSchedule {
+            final_ro: true,
+            ..shape(
+                "soak-wrongful-evict",
+                vec![stall(victim, WRONGFUL_STALL_US)],
+            )
+        },
         // Two responders dead in one campaign.
-        3 => {
-            base.name = "soak-two-halt";
-            base.fault = FaultPlan {
-                stalls: vec![
-                    ResponderStall {
-                        cpu: victim,
-                        extra: Dur::millis(8),
-                        times: 1,
-                    },
-                    ResponderStall {
-                        cpu: victim2,
-                        extra: Dur::millis(8),
-                        times: 1,
-                    },
-                ],
-                halts: vec![
-                    Halt {
-                        cpu: victim,
-                        at: Time::from_micros(2_000),
-                    },
-                    Halt {
-                        cpu: victim2,
-                        at: Time::from_micros(2_500),
-                    },
-                ],
-                ..FaultPlan::none(v)
-            };
-        }
+        3 => shape(
+            "soak-two-halt",
+            vec![
+                stall(victim, 8_000),
+                stall(victim2, 8_000),
+                halt(victim, 2_000),
+                halt(victim2, 2_500),
+            ],
+        ),
         // FailOp end to end: a dead lock holder retried past.
-        _ => {
-            base.name = "soak-failop";
-            base.grab_lock = true;
-            base.policy = RecoveryPolicy::FailOp;
-            base.fault = FaultPlan {
-                halts: vec![Halt {
-                    cpu: last,
-                    at: Time::from_micros(1_000),
-                }],
-                ..FaultPlan::none(v)
-            };
-        }
+        _ => FaultSchedule {
+            grab_lock: true,
+            failop: true,
+            ..shape("soak-failop", vec![halt(n - 1, 1_000)])
+        },
     }
-    base
 }
 
-/// The beyond-envelope injected-failure cycle: the FailOp shape with a
-/// zero restart budget, guaranteed to book `retries_exhausted`.
-fn exhaustion_plan(cfg: &SoakConfig) -> ChaosPlan {
-    let mut p = cycle_plan(cfg, 4); // the FailOp shape
-    p.name = "soak-failop-exhausted";
-    p.failop_retries = 0;
-    p.tolerable = false;
-    p
+/// The beyond-envelope injected-failure cycle, run as cycle `cycle`: the
+/// FailOp shape with a zero restart budget, guaranteed to book
+/// `retries_exhausted`.
+pub fn soak_exhaustion_schedule(cfg: &SoakConfig, cycle: u64) -> FaultSchedule {
+    FaultSchedule {
+        name: "soak-failop-exhausted".into(),
+        seed: cycle_seed(cfg, cycle),
+        failop_retries: 0,
+        tolerable: false,
+        ..soak_cycle_schedule(cfg, 4) // the FailOp shape
+    }
 }
 
-/// Runs one soak cycle and returns its full campaign outcome.
-fn run_cycle(cfg: &SoakConfig, cycle: u64, plan: ChaosPlan) -> ChaosOutcome {
-    // Derive a per-cycle seed; the multiplier just decorrelates the
-    // device-interrupt jitter between consecutive cycles.
-    let seed = cfg.seed.wrapping_add(cycle.wrapping_mul(7919));
-    let mut ccfg = ChaosConfig::new(cfg.n_cpus, seed, Some(plan));
-    ccfg.rounds = cfg.rounds;
-    // Big machines run many more writer events per simulated second than
-    // the 4-processor chaos default budgeted for, and bus serialization
-    // stretches the campaign's simulated time roughly linearly in the
-    // processor count (a 128-cpu halt cycle quiesces around 270ms).
-    ccfg.max_steps = 5_000_000 + (cfg.n_cpus as u64) * 500_000;
-    ccfg.limit = Time::from_micros(200_000 + (cfg.n_cpus as u64) * 4_000);
-    run_chaos(&ccfg)
+/// A per-cycle machine seed; the multiplier just decorrelates the
+/// device-interrupt jitter between consecutive cycles.
+fn cycle_seed(cfg: &SoakConfig, cycle: u64) -> u64 {
+    cfg.seed.wrapping_add(cycle.wrapping_mul(7919))
 }
 
 /// Runs the whole soak: `cycles` rotating-fault campaigns (plus the
@@ -260,25 +214,13 @@ fn run_cycle(cfg: &SoakConfig, cycle: u64, plan: ChaosPlan) -> ChaosOutcome {
 ///
 /// # Panics
 ///
-/// Panics if `n_cpus < 4` (inherited from [`plan_catalog`]).
+/// Panics if `n_cpus < 4`.
 pub fn run_soak(cfg: &SoakConfig) -> SoakOutcome {
+    assert!(cfg.n_cpus >= 4, "soak needs at least 4 processors");
     let mut out = SoakOutcome {
         n_cpus: cfg.n_cpus,
-        cycles: 0,
         seed: cfg.seed,
-        ops: 0,
-        completed_cycles: 0,
-        violations: 0,
-        unrecovered: 0,
-        evictions: 0,
-        fenced_rejoins: 0,
-        self_fences: 0,
-        late_acks_rejected: 0,
-        ops_retried: 0,
-        retries_exhausted: 0,
-        locks_stolen: 0,
-        survived: true,
-        log: Vec::new(),
+        ..SoakOutcome::default()
     };
     // Plans are generated lazily: a duration-bounded soak does not know
     // its cycle count up front, it keeps rotating the shape family until
@@ -292,15 +234,17 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakOutcome {
             None => cycle < cfg.cycles,
         };
         let plan = if more {
-            cycle_plan(cfg, cycle)
+            soak_cycle_schedule(cfg, cycle)
         } else if cfg.inject_exhaustion && !exhaustion_done {
             exhaustion_done = true;
-            exhaustion_plan(cfg)
+            soak_exhaustion_schedule(cfg, cycle)
         } else {
             break;
         };
         let ops = cfg.rounds * 4 + if plan.final_ro { 2 } else { 0 };
-        let o = run_cycle(cfg, cycle, plan);
+        let mut ccfg = ChaosConfig::scaled(cfg.n_cpus, plan.seed, Some(plan));
+        ccfg.rounds = cfg.rounds;
+        let o = run_chaos(&ccfg);
         let unrecovered = o.stats.watchdog_gaveup.saturating_sub(o.stats.evictions);
         out.cycles += 1;
         out.ops += ops;
@@ -316,7 +260,7 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakOutcome {
         out.locks_stolen += o.stats.locks_stolen;
         out.log.push(SoakCycle {
             cycle,
-            plan: o.plan,
+            plan: o.plan().to_string(),
             seed: o.seed,
             survival: o.survival,
             completed: o.completed,
@@ -331,10 +275,6 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakOutcome {
         && out.unrecovered == 0
         && out.retries_exhausted == 0;
     out
-}
-
-fn json_escape(s: &str) -> String {
-    s.replace('\\', "\\\\").replace('"', "\\\"")
 }
 
 /// Renders a soak outcome as machine-readable JSON for CI artifacts.
@@ -367,7 +307,7 @@ pub fn soak_json(o: &SoakOutcome) -> String {
              \"completed\": {}, \"violations\": {}, \"unrecovered\": {}, \
              \"end_ms\": {:.1}}}{}\n",
             c.cycle,
-            json_escape(c.plan),
+            escape(&c.plan),
             c.seed,
             c.survival.name(),
             c.completed,

@@ -11,6 +11,7 @@
 //! assembly — every emitted name is static ASCII, so no escaping layer
 //! is needed (and the crate stays dependency-free).
 
+use crate::json::Json;
 use crate::trace::{TraceEdge, TraceEvent, TracePhase};
 
 /// Nanoseconds rendered as the microsecond `ts` values the trace-event
@@ -151,50 +152,11 @@ fn ipi_flights(events: &[TraceEvent]) -> Vec<IpiFlight> {
     flights
 }
 
-/// A minimal structural validator for the exporter's own output (used by
-/// tests and the CLI's self-check): balanced braces/brackets outside
-/// strings, and a sanity count of emitted events.
-pub fn validate_json_shape(json: &str) -> Result<usize, String> {
-    let mut depth_obj = 0i64;
-    let mut depth_arr = 0i64;
-    let mut in_str = false;
-    let mut escaped = false;
-    let mut objects = 0usize;
-    for c in json.chars() {
-        if in_str {
-            if escaped {
-                escaped = false;
-            } else if c == '\\' {
-                escaped = true;
-            } else if c == '"' {
-                in_str = false;
-            }
-            continue;
-        }
-        match c {
-            '"' => in_str = true,
-            '{' => {
-                depth_obj += 1;
-                objects += 1;
-            }
-            '}' => depth_obj -= 1,
-            '[' => depth_arr += 1,
-            ']' => depth_arr -= 1,
-            _ => {}
-        }
-        if depth_obj < 0 || depth_arr < 0 {
-            return Err("unbalanced close".into());
-        }
-    }
-    if in_str {
-        return Err("unterminated string".into());
-    }
-    if depth_obj != 0 || depth_arr != 0 {
-        return Err(format!(
-            "unbalanced: {depth_obj} objects, {depth_arr} arrays open"
-        ));
-    }
-    Ok(objects)
+/// The exporter's self-check (used by tests and the CLI): parses the
+/// document with the strict [`Json`] parser and returns the length of
+/// its `traceEvents` array.
+pub fn validate_chrome_trace(json: &str) -> Result<usize, String> {
+    Ok(Json::parse(json)?.array_field("traceEvents")?.len())
 }
 
 #[cfg(test)]
@@ -257,10 +219,9 @@ mod tests {
     #[test]
     fn export_is_structurally_valid_json() {
         let json = chrome_trace_json(&sample_events(), 2);
-        let objects = validate_json_shape(&json).expect("well-formed");
-        // 3 thread names + sort index + 6 events + 1 bus slice + args
-        // objects — just check it's plausibly populated.
-        assert!(objects > 10, "{objects} objects");
+        let events = validate_chrome_trace(&json).expect("well-formed");
+        // 3 thread names + sort index + 6 events + 1 bus slice.
+        assert_eq!(events, 11);
         assert!(json.starts_with("{\"traceEvents\":["));
         assert!(json.contains("\"name\":\"cpu 0\""));
         assert!(json.contains("\"name\":\"bus\""));

@@ -6,7 +6,8 @@
 //! kernel with ([`XprBuffer`]), the initiator/responder record schema of
 //! Section 6 ([`InitiatorRecord`], [`ResponderRecord`]), the statistics the
 //! tables report ([`Summary`], [`linear_fit`]), and a plain-text table
-//! renderer for the harnesses ([`TextTable`]).
+//! renderer for the harnesses ([`TextTable`]), and the one JSON module
+//! every reader and writer in the workspace shares ([`json`]).
 //!
 //! # Examples
 //!
@@ -28,6 +29,7 @@
 mod buffer;
 mod chrome;
 mod histogram;
+pub mod json;
 mod plot;
 mod record;
 mod stats;
@@ -35,7 +37,7 @@ mod table;
 mod trace;
 
 pub use buffer::XprBuffer;
-pub use chrome::{chrome_trace_json, validate_json_shape};
+pub use chrome::{chrome_trace_json, validate_chrome_trace};
 pub use histogram::Histogram;
 pub use plot::{ascii_histogram, ascii_scatter};
 pub use record::{InitiatorRecord, PmapKind, ResponderRecord, ShootdownEvent};

@@ -52,6 +52,11 @@
 #                        fence sabotaged off — is replayed and must exit
 #                        nonzero, proving the checker and the replay
 #                        red path still have teeth)
+#  10. benchmark package (examples/benchmark is a standalone package
+#                        with its own workspace, so the steps above never
+#                        compile it: build it, lint it with warnings as
+#                        errors, and run its tests, since it drives the
+#                        fault API — generate_schedule, compile, run_chaos)
 #
 # Usage: scripts/check.sh
 set -eu
@@ -116,5 +121,11 @@ if cargo run --release --quiet --bin machtlb -- replay \
     echo "error: the known-bad schedule replayed green" >&2
     exit 1
 fi
+
+echo "==> benchmark package (build, clippy, tests)"
+BENCH_PKG=examples/benchmark/Cargo.toml
+cargo build --release --quiet --manifest-path "$BENCH_PKG"
+cargo clippy --all-targets --quiet --manifest-path "$BENCH_PKG" -- -D warnings
+cargo test --release --quiet --manifest-path "$BENCH_PKG"
 
 echo "==> all checks passed"

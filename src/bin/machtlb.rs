@@ -25,7 +25,7 @@ use machtlb::workloads::{
 };
 use machtlb::xpr::{
     assemble_spans, check_monotone_per_cpu, chrome_trace_json, counters_table, linear_fit,
-    phase_latencies, phase_latencies_by_node, recovery_latencies, validate_json_shape,
+    phase_latencies, phase_latencies_by_node, recovery_latencies, validate_chrome_trace,
     validate_spans, Histogram, Summary, TextTable,
 };
 
@@ -161,6 +161,28 @@ impl Args {
             None => Ok(default),
             Some(v) => v.parse().map_err(|_| format!("--{name}: bad number {v}")),
         }
+    }
+}
+
+/// The `--cpus` flag, refused below `min` so an undersized machine is a
+/// usage error rather than a panic deep inside a workload.
+fn cpus_flag(args: &Args, default: u64, min: usize, what: &str) -> Result<usize, String> {
+    let cpus = args.num("cpus", default)? as usize;
+    if cpus < min {
+        return Err(format!(
+            "{what} needs at least {min} processors, not {cpus}"
+        ));
+    }
+    Ok(cpus)
+}
+
+/// The fewest processors an application workload runs on: one to drive
+/// it plus one to run it, and Camelot's coordinator, servers, and a
+/// client each get their own.
+fn app_min_cpus(name: &str) -> usize {
+    match name {
+        "camelot" => 2 + CamelotConfig::default().server_threads as usize,
+        _ => 2,
     }
 }
 
@@ -321,9 +343,12 @@ fn base_config(cpus: usize, seed: u64, kconfig: KernelConfig) -> RunConfig {
 
 fn cmd_tester(args: &Args) -> Result<(), String> {
     let children = args.num("children", 7)? as u32;
-    let cpus = args.num("cpus", 16)? as usize;
+    let cpus = cpus_flag(args, 16, 2, "tester")?;
     let seed = args.num("seed", 1)?;
     let strategy = args.get("strategy").unwrap_or("shootdown");
+    if children == 0 {
+        return Err("--children: need at least 1 child".into());
+    }
     if children as usize >= cpus {
         return Err("tester needs children + 1 processors".into());
     }
@@ -423,7 +448,7 @@ fn cmd_app(args: &Args) -> Result<(), String> {
         .get(1)
         .ok_or("app: which one? mach|parthenon|agora|camelot")?
         .as_str();
-    let cpus = args.num("cpus", 16)? as usize;
+    let cpus = cpus_flag(args, 16, app_min_cpus(name), name)?;
     let seed = args.num("seed", 1)?;
     let lazy = match args.get("lazy").unwrap_or("on") {
         "on" => true,
@@ -524,7 +549,7 @@ fn bus_table(bus: &machtlb::sim::BusStats) -> TextTable {
 }
 
 fn cmd_fig2(args: &Args) -> Result<(), String> {
-    let cpus = args.num("cpus", 16)? as usize;
+    let cpus = cpus_flag(args, 16, 2, "fig2")?;
     let max_k = args.num("max-k", (cpus - 1).min(15) as u64)? as u32;
     let runs = args.num("runs", 5)?;
     println!("basic shootdown cost, k = 1..={max_k} on {cpus} processors, {runs} runs each");
@@ -616,7 +641,7 @@ fn cmd_scaling(args: &Args) -> Result<(), String> {
 fn cmd_trace(args: &Args) -> Result<(), String> {
     let workload = args.get("workload").unwrap_or("machbuild");
     let strategy = args.get("strategy").unwrap_or("shootdown");
-    let cpus = args.num("cpus", 16)? as usize;
+    let cpus = cpus_flag(args, 16, app_min_cpus(workload), workload)?;
     let seed = args.num("seed", 1)?;
     let out_path = args.get("out").unwrap_or("machtlb-trace.json").to_string();
     let kconfig = apply_topology_flags(
@@ -657,7 +682,7 @@ fn cmd_trace(args: &Args) -> Result<(), String> {
     check_monotone_per_cpu(events).map_err(|e| format!("trace not monotone: {e}"))?;
     let validated = validate_spans(events).map_err(|e| format!("span validation failed: {e}"))?;
     let json = chrome_trace_json(events, report.n_cpus);
-    validate_json_shape(&json).map_err(|e| format!("exporter produced bad JSON: {e}"))?;
+    validate_chrome_trace(&json).map_err(|e| format!("exporter produced bad JSON: {e}"))?;
     std::fs::write(&out_path, &json).map_err(|e| format!("write {out_path}: {e}"))?;
     let spans = assemble_spans(events);
     println!(
@@ -745,7 +770,7 @@ fn cmd_trace(args: &Args) -> Result<(), String> {
 /// Runs the page-migration storm, printing the per-node traffic split —
 /// the workload that makes topology placement visible.
 fn cmd_storm(args: &Args) -> Result<(), String> {
-    let cpus = args.num("cpus", 16)? as usize;
+    let cpus = cpus_flag(args, 16, 1, "storm")?;
     let seed = args.num("seed", 1)?;
     let cross = match args.get("cross").unwrap_or("off") {
         "on" => true,
@@ -912,12 +937,9 @@ fn cmd_bench_check(args: &Args) -> Result<(), String> {
 /// lands on the wrong side of the tolerable envelope: a tolerable plan
 /// caught fatal, or a beyond-envelope plan passing silently.
 fn cmd_chaos(args: &Args) -> Result<(), String> {
-    let cpus = args.num("cpus", 8)? as usize;
+    let cpus = cpus_flag(args, 8, 4, "chaos")?;
     let n_seeds = args.num("seeds", 3)?;
     let rounds = args.num("rounds", 3)?;
-    if cpus < 3 {
-        return Err("chaos needs at least 3 processors".into());
-    }
     let seeds: Vec<u64> = (1..=n_seeds).collect();
     let plans = plan_catalog(cpus);
     println!(
@@ -931,13 +953,8 @@ fn cmd_chaos(args: &Args) -> Result<(), String> {
     let mut outcomes = Vec::new();
     for plan in plans {
         for &seed in &seeds {
-            let mut cfg = ChaosConfig::new(cpus, seed, Some(plan.clone()));
+            let mut cfg = ChaosConfig::scaled(cpus, seed, Some(plan.clone()));
             cfg.rounds = rounds;
-            // Bus serialization stretches campaign time roughly linearly
-            // in the processor count; scale both bounds so the 32–128
-            // processor matrices actually finish (mirrors `run_soak`).
-            cfg.max_steps = 5_000_000 + (cpus as u64) * 500_000;
-            cfg.limit = Time::from_micros(200_000 + (cpus as u64) * 4_000);
             cfg.kconfig = apply_topology_flags(args, cpus, cfg.kconfig.clone())?;
             outcomes.push(run_chaos(&cfg));
         }
@@ -958,8 +975,8 @@ fn cmd_chaos(args: &Args) -> Result<(), String> {
     for o in &outcomes {
         let recovered = o.stats.evictions + o.stats.fenced_rejoins + o.stats.locks_stolen;
         t.add_row(vec![
-            o.plan.into(),
-            if o.tolerable { "tolerable" } else { "beyond" }.into(),
+            o.plan().into(),
+            if o.tolerable() { "tolerable" } else { "beyond" }.into(),
             o.n_cpus.to_string(),
             o.seed.to_string(),
             o.survival.name().into(),
@@ -981,7 +998,8 @@ fn cmd_chaos(args: &Args) -> Result<(), String> {
         if let Some(r) = &o.report {
             println!(
                 "diagnosis of the first incomplete run ({} seed {}):",
-                o.plan, o.seed
+                o.plan(),
+                o.seed
             );
             println!("{r}");
         }
@@ -1034,7 +1052,7 @@ fn parse_duration(v: &str) -> Result<std::time::Duration, String> {
 
 fn cmd_soak(args: &Args) -> Result<(), String> {
     let smoke = matches!(args.get("smoke"), Some("on"));
-    let mut cpus = args.num("cpus", 32)? as usize;
+    let mut cpus = cpus_flag(args, 32, 4, "soak")?;
     let mut cycles = args.num("cycles", 5)?;
     let seed = args.num("seed", 7)?;
     let mut rounds = args.num("rounds", 3)?;
@@ -1045,9 +1063,6 @@ fn cmd_soak(args: &Args) -> Result<(), String> {
         cpus = cpus.min(32);
         cycles = cycles.min(5);
         rounds = rounds.min(2);
-    }
-    if cpus < 4 {
-        return Err("soak needs at least 4 processors".into());
     }
     let mut cfg = SoakConfig::new(cpus, cycles, seed);
     cfg.rounds = rounds;
@@ -1078,7 +1093,7 @@ fn cmd_soak(args: &Args) -> Result<(), String> {
     for c in &o.log {
         t.add_row(vec![
             c.cycle.to_string(),
-            c.plan.into(),
+            c.plan.clone(),
             c.seed.to_string(),
             c.survival.name().into(),
             c.completed.to_string(),

@@ -51,10 +51,10 @@ fn chaos_matrix_is_two_sided_green() {
     // And the matrix genuinely exercised both sides.
     assert!(outcomes
         .iter()
-        .any(|o| o.survival == Survival::Degraded && o.tolerable));
+        .any(|o| o.survival == Survival::Degraded && o.tolerable()));
     assert!(outcomes
         .iter()
-        .any(|o| o.survival == Survival::DetectedFatal && !o.tolerable));
+        .any(|o| o.survival == Survival::DetectedFatal && !o.tolerable()));
 }
 
 /// Same seed + same fault plan => bit-identical clocks, statistics, bus

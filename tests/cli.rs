@@ -1,0 +1,56 @@
+//! The command line's error contract: bad arguments and malformed inputs
+//! print `error: …` and exit 1 — never a panic (exit 101) from deep
+//! inside a workload.
+
+use std::process::{Command, Output};
+
+fn machtlb(args: &[&str]) -> Output {
+    Command::new(env!("CARGO_BIN_EXE_machtlb"))
+        .args(args)
+        .output()
+        .expect("the machtlb binary runs")
+}
+
+fn assert_usage_error(args: &[&str]) {
+    let out = machtlb(args);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
+    assert!(stderr.contains("error:"), "{args:?}: {stderr}");
+    assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+}
+
+/// Every subcommand refuses a machine too small for its workload up
+/// front, instead of asserting inside the catalog, the simulator, or the
+/// workload.
+#[test]
+fn undersized_machines_are_usage_errors_not_panics() {
+    for args in [
+        &["chaos", "--cpus", "3"][..],
+        &["fig2", "--cpus", "0"],
+        &["trace", "--cpus", "0"],
+        &["trace", "--workload", "tester", "--cpus", "1"],
+        &["trace", "--workload", "camelot", "--cpus", "4"],
+        &["app", "mach", "--cpus", "0"],
+        &["app", "mach", "--cpus", "1"],
+        &["app", "camelot", "--cpus", "4"],
+        &["storm", "--cpus", "0"],
+        &["tester", "--children", "0", "--cpus", "1"],
+        &["soak", "--cpus", "3"],
+    ] {
+        assert_usage_error(args);
+    }
+}
+
+/// A hand-edited schedule whose victim does not fit a processor id is
+/// refused: `"cpu": 4294967297` once replayed green as a stall on cpu1.
+#[test]
+fn replay_refuses_an_out_of_range_cpu() {
+    let text = include_str!("data/repro_attach_recheck.json");
+    let edited = text.replace("\"cpu\": 6", "\"cpu\": 4294967297");
+    assert_ne!(edited, text, "the repro stalls cpu6");
+    let path = std::env::temp_dir().join(format!("machtlb-cli-{}.json", std::process::id()));
+    std::fs::write(&path, edited).expect("write the edited schedule");
+    let path_arg = path.to_str().expect("utf-8 temp path");
+    assert_usage_error(&["replay", "--schedule", path_arg]);
+    let _ = std::fs::remove_file(&path);
+}

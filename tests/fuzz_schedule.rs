@@ -1,11 +1,16 @@
-//! Property tests for the fuzz schedule layer: serialization is
-//! lossless, generation is a pure function of the seed, and a schedule
-//! that has been through the JSON round trip replays bit-identically.
+//! Property tests for the fault-schedule layer: serialization is
+//! lossless, generation is a pure function of the seed, a schedule that
+//! has been through the JSON round trip replays bit-identically, and the
+//! chaos catalog and soak shapes are schedules like any other — one fault
+//! language.
 
 use machtlb::core::{
-    generate_schedule, offline_floor_us, parse_schedule, revive_floor_us, run_fuzz, run_schedule,
-    schedule_json, FaultSchedule, FuzzConfig, ScheduleEvent, SplitMix64,
+    generate_schedule, is_red, offline_floor_us, parse_schedule, plan_catalog, revive_floor_us,
+    run_chaos, run_fuzz, run_schedule, schedule_from_json, schedule_json, soak_cycle_schedule,
+    soak_exhaustion_schedule, survival_json, ChaosConfig, FaultSchedule, FuzzConfig, ScheduleEvent,
+    SoakConfig, SplitMix64,
 };
+use machtlb::xpr::json::Json;
 use proptest::collection::vec as vec_of;
 use proptest::prelude::*;
 use proptest::strategy::BoxedStrategy;
@@ -76,17 +81,28 @@ fn singletons_strategy() -> impl Strategy<Value = Vec<ScheduleEvent>> {
         .prop_map(|(a, b, c, d, e)| [a, b, c, d, e].into_iter().flatten().collect())
 }
 
+/// Names that exercise the string escaping, the empty one included.
+const NAMES: [&str; 3] = ["", "a \"quoted\" name", "tab\tand back\\slash, é"];
+
 /// An arbitrary valid schedule, assembled rather than filtered: one
-/// bundle per victim slot (cpus 1..n-2), plus the singleton rules.
+/// bundle per victim slot (cpus 1..n-2), plus the singleton rules, plus
+/// the optional sabotage fields (0 draws their default).
 fn schedule_strategy() -> impl Strategy<Value = FaultSchedule> {
     (
         (4usize..=12, 1u64..4, any::<u64>()),
         vec_of(bundle_strategy(), 0..=10),
         singletons_strategy(),
         (any::<bool>(), any::<bool>(), any::<bool>()),
+        (0usize..3, any::<bool>(), 0usize..3, 0u32..4, 0u32..6),
     )
         .prop_map(
-            |((n_cpus, rounds, seed), bundles, singletons, (fencing, final_ro, co_initiator))| {
+            |(
+                (n_cpus, rounds, seed),
+                bundles,
+                singletons,
+                (fencing, final_ro, co_initiator),
+                (name, watchdog, capacity, poison, failop_retries),
+            )| {
                 let off = offline_floor_us(n_cpus);
                 let rev = revive_floor_us(n_cpus);
                 let mut events: Vec<ScheduleEvent> = Vec::new();
@@ -133,6 +149,11 @@ fn schedule_strategy() -> impl Strategy<Value = FaultSchedule> {
                     co_initiator,
                     failop: false,
                     tolerable: fencing,
+                    name: NAMES[name].into(),
+                    watchdog,
+                    queue_capacity: (capacity > 0).then_some(capacity),
+                    poison: (poison > 0).then_some(poison),
+                    failop_retries,
                     events,
                 }
             },
@@ -202,4 +223,71 @@ fn small_campaign_is_green() {
     assert_eq!(r.runs.len(), 5);
     assert!(r.coverage.events > 0);
     assert_eq!(r.coverage.survivals.iter().sum::<u64>(), 5);
+}
+
+/// Every schedule the soak runs for `soak`: one full rotation of the
+/// five shapes, then the injected-exhaustion cycle.
+fn soak_shapes(soak: &SoakConfig) -> Vec<FaultSchedule> {
+    (0..5)
+        .map(|cycle| soak_cycle_schedule(soak, cycle))
+        .chain([soak_exhaustion_schedule(soak, 5)])
+        .collect()
+}
+
+/// One fault language: every chaos catalog entry and every soak shape
+/// (the injected-exhaustion cycle included) is a valid schedule that
+/// survives the JSON round trip without loss, at every machine size the
+/// catalog scales its timing for.
+#[test]
+fn catalog_and_soak_shapes_round_trip_and_validate() {
+    for n in [4, 8, 32] {
+        let catalog = plan_catalog(n);
+        assert_eq!(catalog.len(), 21);
+        for s in catalog
+            .into_iter()
+            .chain(soak_shapes(&SoakConfig::new(n, 5, 7)))
+        {
+            s.validate()
+                .unwrap_or_else(|e| panic!("{} at {n} cpus: {e}", s.name));
+            let text = schedule_json(&s);
+            let back = parse_schedule(&text).unwrap_or_else(|e| panic!("{}: {e}", s.name));
+            assert_eq!(back, s, "{text}");
+        }
+    }
+}
+
+/// A tolerable catalog entry replayed from its JSON (under the replay
+/// runner's bounds) drives the machine exactly as the chaos harness does
+/// from the in-memory catalog: same verdict, counters, and clocks.
+#[test]
+fn round_tripped_catalog_plans_replay_like_the_chaos_harness() {
+    for plan in plan_catalog(4).into_iter().filter(|p| p.tolerable) {
+        let chaos = run_chaos(&ChaosConfig::new(4, 3, Some(plan.clone())));
+        let text = schedule_json(&FaultSchedule { seed: 3, ..plan });
+        let replayed = run_schedule(&parse_schedule(&text).expect("round trip"));
+        let name = replayed.plan();
+        assert_eq!(replayed.survival, chaos.survival, "{name}");
+        assert_eq!(replayed.stats, chaos.stats, "{name}");
+        assert_eq!(replayed.clocks, chaos.clocks, "{name}");
+        assert_eq!(replayed.schedule, chaos.schedule, "{name}");
+    }
+}
+
+/// Every beyond-envelope catalog row of a chaos survival artifact carries
+/// its schedule, and that schedule, read back out of the artifact, still
+/// replays red — any red chaos row is a `machtlb replay` input.
+#[test]
+fn beyond_envelope_rows_replay_red_from_the_survival_json() {
+    let outcomes: Vec<_> = plan_catalog(4)
+        .into_iter()
+        .filter(|p| !p.tolerable)
+        .map(|p| run_chaos(&ChaosConfig::new(4, 3, Some(p))))
+        .collect();
+    assert_eq!(outcomes.len(), 4);
+    assert!(outcomes.iter().all(is_red));
+    let doc = Json::parse(&survival_json(&outcomes, &[])).expect("valid json");
+    for row in doc.array_field("outcomes").expect("outcomes") {
+        let s = schedule_from_json(row.field("schedule").expect("schedule")).expect("valid");
+        assert!(is_red(&run_schedule(&s)), "{} replayed green", s.name);
+    }
 }

@@ -67,16 +67,11 @@ fn padded_schedule() -> FaultSchedule {
     let s = FaultSchedule {
         seed: 3,
         n_cpus: 8,
-        rounds: 3,
-        nodes: 1,
-        fanout: 1,
         fencing: false,
         final_ro: true,
-        grab_lock: false,
-        co_initiator: false,
-        failop: false,
         tolerable: false,
         events,
+        ..FaultSchedule::default()
     };
     assert_eq!(s.events.len(), 20);
     s.validate().expect("padded schedule validates");

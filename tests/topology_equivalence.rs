@@ -157,7 +157,7 @@ fn chaos_fingerprint(seed: u64, topology: Option<Topology>) -> u64 {
         let mut cfg = ChaosConfig::new(4, seed, Some(plan));
         cfg.kconfig.topology = topology;
         let o = run_chaos(&cfg);
-        for name in o.plan.bytes() {
+        for name in o.plan().bytes() {
             fnv(&mut h, u64::from(name));
         }
         for c in &o.clocks {
