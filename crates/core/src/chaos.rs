@@ -670,7 +670,7 @@ impl Process<KernelState, ()> for LockGrabber {
         if !self.holding {
             let lock = ctx.shared.pmaps.get_mut(self.pmap).lock_mut();
             if !lock.try_acquire(me) {
-                return Step::Run(ctx.costs().spin_iter + ctx.costs().cache_read);
+                return Step::Run(ctx.costs().spin_check());
             }
             self.holding = true;
             return Step::Run(ctx.costs().lock_acquire + ctx.bus_interlocked());

@@ -31,7 +31,7 @@
 use machtlb_sim::{BlockOn, CpuId, Ctx, Process, Step, Time};
 use machtlb_xpr::{SpanId, TraceEdge, TracePhase};
 
-use crate::state::{queue_lock_channel, HasKernel, KernelState, SpinMode, SYNC_CHANNEL};
+use crate::state::{queue_lock_channel, HasKernel, KernelState, SYNC_CHANNEL};
 
 /// What a lock acquirer does upon finding the holder fail-stop halted.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
@@ -257,11 +257,8 @@ impl<S: HasKernel> Process<S, ()> for FencedRejoinProcess {
                 let lock = &mut ctx.shared.kernel_mut().queue_locks[me.index()];
                 lock.charge_spins(woken);
                 if !lock.try_acquire(me) {
-                    let spin = ctx.costs().spin_iter + ctx.costs().cache_read;
-                    if ctx.shared.kernel().config.spin_mode == SpinMode::Event {
-                        return Step::Block(BlockOn::one(queue_lock_channel(me), spin));
-                    }
-                    return Step::Run(spin);
+                    let spin = ctx.costs().spin_check();
+                    return Step::Block(BlockOn::one(queue_lock_channel(me), spin));
                 }
                 self.lock_gen = lock.steal_gen();
                 self.phase = FencePhase::Discard;
@@ -343,17 +340,15 @@ impl<S: HasKernel> Process<S, ()> for FencedRejoinProcess {
                     (contended, chan)
                 };
                 if contended {
-                    let spin = ctx.costs().spin_iter + ctx.costs().cache_read;
-                    if let (SpinMode::Event, Some(chan)) =
-                        (ctx.shared.kernel().config.spin_mode, chan)
-                    {
-                        // A holder that halts mid-update never notifies:
-                        // wake at the watchdog timeout so the liveness
-                        // probe above runs even without a release.
-                        let deadline = ctx.now + ctx.shared.kernel().config.watchdog.timeout;
-                        return Step::Block(BlockOn::one(chan, spin).with_deadline(deadline));
-                    }
-                    return Step::Run(spin);
+                    let spin = ctx.costs().spin_check();
+                    let Some(chan) = chan else {
+                        return Step::Run(spin);
+                    };
+                    // A holder that halts mid-update never notifies: wake
+                    // at the watchdog timeout so the liveness probe above
+                    // runs even without a release.
+                    let deadline = ctx.now + ctx.shared.kernel().config.watchdog.timeout;
+                    return Step::Block(BlockOn::one(chan, spin).with_deadline(deadline));
                 }
                 let now = ctx.now;
                 let k = ctx.shared.kernel_mut();

@@ -3,12 +3,13 @@
 
 use machtlb_pmap::PmapId;
 use machtlb_sim::{
-    BlockOn, CostModel, CpuId, Ctx, Dur, IntrClass, IntrMask, Machine, MachineConfig, Process,
-    Step, Time, Vector,
+    CostModel, CpuId, Ctx, Dur, IntrClass, IntrMask, Machine, MachineConfig, Process, Step, Time,
+    Vector,
 };
 use machtlb_xpr::{TraceEdge, TracePhase};
 use rand::Rng;
 
+use crate::op::lock_wait;
 use crate::responder::ResponderProcess;
 use crate::state::{HasKernel, KernelConfig, KernelState, SpinMode, SYNC_CHANNEL};
 
@@ -37,7 +38,6 @@ pub fn build_kernel_machine(
     costs: CostModel,
     kconfig: KernelConfig,
 ) -> KernelMachine {
-    let high_prio = kconfig.high_prio_ipi;
     let state = KernelState::new(n_cpus, kconfig);
     let mconfig = MachineConfig {
         n_cpus,
@@ -46,17 +46,23 @@ pub fn build_kernel_machine(
         topology: state.topology,
     };
     let mut m = Machine::new(mconfig, state, |_| ());
-    install_kernel_handlers(&mut m, high_prio);
+    install_kernel_handlers(&mut m);
     m
 }
 
 /// Registers the kernel's interrupt handlers on a machine whose shared
 /// state embeds a kernel image (used by higher layers that wrap
-/// [`KernelState`] in their own state type).
-pub fn install_kernel_handlers<S: HasKernel + 'static>(
-    m: &mut Machine<S, ()>,
-    high_prio_ipi: bool,
-) {
+/// [`KernelState`] in their own state type), configured from that image.
+/// It is the one reader of [`KernelConfig::spin_mode`]: every spin site
+/// returns `Step::Block`, and the machine decides how it waits.
+pub fn install_kernel_handlers<S: HasKernel + 'static>(m: &mut Machine<S, ()>) {
+    let config = &m.shared().kernel().config;
+    let device_mask = if config.high_prio_ipi {
+        IntrMask::DEVICE_BLOCKED
+    } else {
+        IntrMask::ALL_BLOCKED
+    };
+    m.set_stepped_waits(config.spin_mode == SpinMode::Stepped);
     m.register_handler(SHOOTDOWN_VECTOR, IntrClass::Ipi, |s, cpu, at| {
         // The delivery instant belongs to the trace, not the handler body:
         // by the time the responder first steps, the interrupt-entry and
@@ -70,11 +76,6 @@ pub fn install_kernel_handlers<S: HasKernel + 'static>(
         }
         Box::new(ResponderProcess::new())
     });
-    let device_mask = if high_prio_ipi {
-        IntrMask::DEVICE_BLOCKED
-    } else {
-        IntrMask::ALL_BLOCKED
-    };
     m.register_handler_with_mask(DEVICE_VECTOR, IntrClass::Device, device_mask, |_, _, _| {
         Box::new(DeviceHandler::new())
     });
@@ -305,22 +306,7 @@ impl<S: HasKernel> Process<S, ()> for SwitchUserPmapProcess {
                             self.phase = SwitchPhase::AttachNew;
                             return Step::Run(ctx.costs().local_op + ctx.bus_read());
                         }
-                        let spin = ctx.costs().spin_iter + ctx.costs().cache_read;
-                        if let (SpinMode::Event, Some(chan)) =
-                            (ctx.shared.kernel().config.spin_mode, chan)
-                        {
-                            let block = BlockOn::one(chan, spin);
-                            if health.enabled {
-                                // A dead holder never notifies the channel:
-                                // wake at the watchdog timeout so the
-                                // liveness probe above eventually runs.
-                                let deadline =
-                                    ctx.now + ctx.shared.kernel().config.watchdog.timeout;
-                                return Step::Block(block.with_deadline(deadline));
-                            }
-                            return Step::Block(block);
-                        }
-                        return Step::Run(spin);
+                        return lock_wait(ctx, chan.as_slice());
                     }
                 }
                 self.phase = SwitchPhase::AttachNew;
@@ -348,7 +334,7 @@ impl<S: HasKernel> Process<S, ()> for SwitchUserPmapProcess {
                     if relocked {
                         ctx.shared.kernel_mut().stats.attach_rechecks += 1;
                         self.phase = SwitchPhase::SpinNewLock;
-                        return Step::Run(ctx.costs().spin_iter + ctx.costs().cache_read);
+                        return Step::Run(ctx.costs().spin_check());
                     }
                     ctx.shared.kernel_mut().pmaps.get_mut(new).mark_in_use(me);
                     ctx.shared.kernel_mut().cur_user_pmap[me.index()] = Some(new);

@@ -24,15 +24,15 @@
 //! synchronization phases but share locking and application.
 
 use machtlb_pmap::{PageRange, Pfn, PmapId, Prot, Pte, Vpn};
-use machtlb_sim::{BlockOn, CpuId, Ctx, Dur, IntrMask, Process, Step, Time};
+use machtlb_sim::{BlockOn, CpuId, Ctx, Dur, IntrMask, Process, Step, Time, WaitChannel};
 use machtlb_tlb::InvalidationPlan;
 use machtlb_xpr::{InitiatorRecord, PmapKind, ShootdownEvent, SpanId, TraceEdge, TracePhase};
 
 use crate::health::RecoveryPolicy;
 use crate::queue::Action;
 use crate::state::{
-    queue_lock_channel, round_channel, HasKernel, KernelState, ShootdownRound, SpinMode,
-    WatchdogReport, SYNC_CHANNEL,
+    queue_lock_channel, round_channel, HasKernel, KernelState, ShootdownRound, WatchdogReport,
+    SYNC_CHANNEL,
 };
 use crate::strategy::Strategy;
 use crate::SHOOTDOWN_VECTOR;
@@ -53,6 +53,26 @@ pub(crate) fn note_lock_ref<S: HasKernel>(ctx: &mut Ctx<'_, S, ()>, home: usize)
     if node != home {
         k.stats.remote_lock_refs += 1;
         k.node_stats[node].remote_lock_refs += 1;
+    }
+}
+
+/// One failed check of a spin on pmap locks: blocks on the lock channels
+/// in `chans` (at most the first two are listened to), or steps when
+/// there is none. Under health monitoring the wait also ends at the
+/// watchdog timeout: a fail-stop holder never notifies, and the caller's
+/// liveness probe must still run.
+pub(crate) fn lock_wait<S: HasKernel>(ctx: &Ctx<'_, S, ()>, chans: &[WaitChannel]) -> Step {
+    let spin = ctx.costs().spin_check();
+    let block = match *chans {
+        [] => return Step::Run(spin),
+        [a] => BlockOn::one(a, spin),
+        [a, b, ..] => BlockOn::two(a, b, spin),
+    };
+    let config = &ctx.shared.kernel().config;
+    if config.health.enabled {
+        Step::Block(block.with_deadline(ctx.now + config.watchdog.timeout))
+    } else {
+        Step::Block(block)
     }
 }
 
@@ -211,7 +231,7 @@ pub struct PmapOpProcess {
     changes_planned: bool,
     applied: usize,
     outcome: OpOutcome,
-    /// The queue lock this process event-blocked on, so the wakeup's
+    /// The queue lock this process blocked on, so the wakeup's
     /// backfilled spin iterations are charged to the right lock even if
     /// the pmap's user set changed while it slept.
     spun_on_queue: Option<CpuId>,
@@ -690,11 +710,8 @@ impl<S: HasKernel> Process<S, ()> for PmapOpProcess {
                 Step::Run(cost)
             }
             Phase::Lock => {
-                let spin = ctx.costs().spin_iter + ctx.costs().cache_read;
                 let woken = ctx.woken_spins();
-                let event = ctx.shared.kernel().config.spin_mode == SpinMode::Event;
                 let health = ctx.shared.kernel().config.health;
-                let wd_timeout = ctx.shared.kernel().config.watchdog.timeout;
                 // Shards are taken in ascending order (a prefix of
                 // `shards_needed`), so concurrent multi-shard operations
                 // cannot deadlock against each other.
@@ -837,27 +854,9 @@ impl<S: HasKernel> Process<S, ()> for PmapOpProcess {
                     // Wait for the leader's unlock, which publishes the
                     // result and notifies the pmap lock channel.
                     let jchan = ctx.shared.kernel().pmaps.get(self.pmap_id).lock().channel();
-                    if let (true, Some(jchan)) = (event, jchan) {
-                        let block = BlockOn::one(jchan, spin);
-                        if health.enabled {
-                            return Step::Block(block.with_deadline(ctx.now + wd_timeout));
-                        }
-                        return Step::Block(block);
-                    }
-                    return Step::Run(spin);
+                    return lock_wait(ctx, jchan.as_slice());
                 }
-                if let (true, Some(chan)) = (event, chan) {
-                    let block = BlockOn::one(chan, spin);
-                    if health.enabled {
-                        // A dead holder never notifies the lock channel:
-                        // wake at the watchdog timeout so the liveness
-                        // probe above runs even if no release ever comes.
-                        return Step::Block(block.with_deadline(ctx.now + wd_timeout));
-                    }
-                    Step::Block(block)
-                } else {
-                    Step::Run(spin)
-                }
+                lock_wait(ctx, chan.as_slice())
             }
             Phase::Check => {
                 self.needed = self.consistency_needed(ctx.shared.kernel());
@@ -951,19 +950,12 @@ impl<S: HasKernel> Process<S, ()> for PmapOpProcess {
                 }
                 // lock_action_structure(cpu)
                 if !ctx.shared.kernel_mut().queue_locks[cpu.index()].try_acquire(me) {
-                    let spin = ctx.costs().spin_iter + ctx.costs().cache_read;
-                    if ctx.shared.kernel().config.spin_mode == SpinMode::Event {
-                        // The retried check re-reads the pmap's user set as
-                        // well as the lock, so listen for membership changes
-                        // (the sync channel) alongside the lock's releases.
-                        self.spun_on_queue = Some(cpu);
-                        return Step::Block(BlockOn::two(
-                            queue_lock_channel(cpu),
-                            SYNC_CHANNEL,
-                            spin,
-                        ));
-                    }
-                    return Step::Run(spin);
+                    // The retried check re-reads the pmap's user set as
+                    // well as the lock, so listen for membership changes
+                    // (the sync channel) alongside the lock's releases.
+                    self.spun_on_queue = Some(cpu);
+                    let spin = ctx.costs().spin_check();
+                    return Step::Block(BlockOn::two(queue_lock_channel(cpu), SYNC_CHANNEL, spin));
                 }
                 // queue_action; action_needed[cpu] = TRUE; unlock.
                 let outcome = ctx.shared.kernel_mut().queues[cpu.index()].enqueue(Action {
@@ -1087,33 +1079,22 @@ impl<S: HasKernel> Process<S, ()> for PmapOpProcess {
                         && ctx.shared.kernel_mut().active.contains(cpu)
                 };
                 if pending {
+                    // Every write that can clear the condition (leaving the
+                    // active set, clearing an action-needed flag, dropping
+                    // a pmap from a user set) notifies the sync channel.
+                    let block = BlockOn::one(SYNC_CHANNEL, ctx.costs().spin_check());
                     let wd = ctx.shared.kernel().config.watchdog;
-                    if wd.enabled {
-                        let now = ctx.now;
-                        let deadline = *self.wait_deadline.get_or_insert(now + wd.timeout);
-                        if now >= deadline {
-                            return self.watchdog_expired(ctx, cpu, wd);
-                        }
-                        let spin = ctx.costs().spin_iter + ctx.costs().cache_read;
-                        return if ctx.shared.kernel().config.spin_mode == SpinMode::Event {
-                            // Wake for the sync channel as in the plain
-                            // wait, or spuriously at the deadline so the
-                            // expiry check above runs on time.
-                            Step::Block(BlockOn::one(SYNC_CHANNEL, spin).with_deadline(deadline))
-                        } else {
-                            Step::Run(spin)
-                        };
+                    if !wd.enabled {
+                        return Step::Block(block);
                     }
-                    let spin = ctx.costs().spin_iter + ctx.costs().cache_read;
-                    if ctx.shared.kernel().config.spin_mode == SpinMode::Event {
-                        // Every write that can clear the condition (leaving
-                        // the active set, clearing an action-needed flag,
-                        // dropping a pmap from a user set) notifies the sync
-                        // channel.
-                        Step::Block(BlockOn::one(SYNC_CHANNEL, spin))
-                    } else {
-                        Step::Run(spin)
+                    let now = ctx.now;
+                    let deadline = *self.wait_deadline.get_or_insert(now + wd.timeout);
+                    if now >= deadline {
+                        return self.watchdog_expired(ctx, cpu, wd);
                     }
+                    // Also wake spuriously at the deadline so the expiry
+                    // check above runs on time.
+                    Step::Block(block.with_deadline(deadline))
                 } else {
                     self.wait_deadline = None;
                     self.wait_retries = 0;
@@ -1407,26 +1388,16 @@ impl<S: HasKernel> Process<S, ()> for PmapOpProcess {
                         return self.round_watchdog_expired(ctx, &live, wd);
                     }
                 }
-                let spin = ctx.costs().spin_iter + ctx.costs().cache_read;
-                if ctx.shared.kernel().config.spin_mode == SpinMode::Event {
-                    // The round channel fires exactly once, when the last
-                    // acknowledgement lands. The deadline is a poll: it
-                    // bounds how long an excusable straggler (a processor
-                    // that deactivated after the publish, e.g. a concurrent
-                    // initiator whose latched IPI cannot be serviced while
-                    // it masks interrupts) can hold the round open.
-                    let mut deadline = now + ctx.costs().intr_entry + ctx.costs().ipi_latency * 8;
-                    if let Some(wd_dl) = self.wait_deadline {
-                        if wd_dl < deadline {
-                            deadline = wd_dl;
-                        }
-                    }
-                    Step::Block(
-                        BlockOn::one(round_channel(self.pmap_id), spin).with_deadline(deadline),
-                    )
-                } else {
-                    Step::Run(scan + ctx.costs().spin_iter)
-                }
+                // The round channel fires exactly once, when the last
+                // acknowledgement lands. The deadline is a poll: it bounds
+                // how long an excusable straggler (a processor that
+                // deactivated after the publish, e.g. a concurrent
+                // initiator whose latched IPI cannot be serviced while it
+                // masks interrupts) can hold the round open.
+                let poll = now + ctx.costs().intr_entry + ctx.costs().ipi_latency * 8;
+                let deadline = self.wait_deadline.map_or(poll, |wd| wd.min(poll));
+                let on = BlockOn::one(round_channel(self.pmap_id), ctx.costs().spin_check());
+                Step::Block(on.with_deadline(deadline))
             }
             Phase::ApplyJoiners { idx } => {
                 if self.own_pages.is_none() {
@@ -1558,16 +1529,9 @@ impl<S: HasKernel> Process<S, ()> for PmapOpProcess {
                 }
                 // lock_action_structure(cpu), exactly as the seed scan.
                 if !ctx.shared.kernel_mut().queue_locks[cpu.index()].try_acquire(me) {
-                    let spin = ctx.costs().spin_iter + ctx.costs().cache_read;
-                    if ctx.shared.kernel().config.spin_mode == SpinMode::Event {
-                        self.spun_on_queue = Some(cpu);
-                        return Step::Block(BlockOn::two(
-                            queue_lock_channel(cpu),
-                            SYNC_CHANNEL,
-                            spin,
-                        ));
-                    }
-                    return Step::Run(spin);
+                    self.spun_on_queue = Some(cpu);
+                    let spin = ctx.costs().spin_check();
+                    return Step::Block(BlockOn::two(queue_lock_channel(cpu), SYNC_CHANNEL, spin));
                 }
                 let qhome = ctx.node_of(cpu);
                 let mut cost = ctx.costs().lock_acquire
@@ -1629,7 +1593,7 @@ impl<S: HasKernel> Process<S, ()> for PmapOpProcess {
                     }
                     return Step::Done(ctx.costs().local_op + ctx.bus_write());
                 }
-                let spin = ctx.costs().spin_iter + ctx.costs().cache_read;
+                let spin = ctx.costs().spin_check();
                 let health = ctx.shared.kernel().config.health;
                 let leader = {
                     let k = ctx.shared.kernel();
@@ -1656,17 +1620,8 @@ impl<S: HasKernel> Process<S, ()> for PmapOpProcess {
                     self.phase = Phase::Lock;
                     return Step::Run(spin + ctx.bus_read());
                 }
-                let event = ctx.shared.kernel().config.spin_mode == SpinMode::Event;
                 let chan = ctx.shared.kernel().pmaps.get(self.pmap_id).lock().channel();
-                if let (true, Some(chan)) = (event, chan) {
-                    let block = BlockOn::one(chan, spin);
-                    if health.enabled {
-                        let wd_timeout = ctx.shared.kernel().config.watchdog.timeout;
-                        return Step::Block(block.with_deadline(ctx.now + wd_timeout));
-                    }
-                    return Step::Block(block);
-                }
-                Step::Run(spin)
+                lock_wait(ctx, chan.as_slice())
             }
             Phase::Apply => {
                 self.trace_enter(ctx, TracePhase::PmapUpdate);

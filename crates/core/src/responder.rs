@@ -7,10 +7,9 @@ use machtlb_tlb::InvalidationPlan;
 use machtlb_xpr::{ResponderRecord, ShootdownEvent, SpanId, TraceEdge, TracePhase};
 
 use crate::health::FencedRejoinProcess;
+use crate::op::lock_wait;
 use crate::queue::Action;
-use crate::state::{
-    queue_lock_channel, round_channel, HasKernel, KernelState, SpinMode, SYNC_CHANNEL,
-};
+use crate::state::{queue_lock_channel, round_channel, HasKernel, KernelState, SYNC_CHANNEL};
 
 /// Result of stepping an embedded [`DrainQueue`].
 #[derive(Debug)]
@@ -198,24 +197,20 @@ impl DrainQueue {
         match self.phase {
             DrainPhase::SpinPmaps => {
                 if Self::must_spin(ctx) {
-                    let spin = ctx.costs().spin_iter + ctx.costs().cache_read;
+                    let spin = ctx.costs().spin_check();
                     let kernel = ctx.shared.kernel();
-                    if kernel.config.spin_mode == SpinMode::Event {
-                        // Listen on both pmaps the condition reads: either
-                        // lock's release can clear it, and a pmap unlocked
-                        // at this check may be locked by the time the other
-                        // is released.
-                        let kchan = kernel.pmaps.kernel().lock().channel();
-                        let uchan = kernel.cur_user_pmap[me.index()]
-                            .and_then(|u| kernel.pmaps.get(u).lock().channel());
-                        if let Some(k) = kchan {
-                            return DrainStatus::Running(Step::Block(match uchan {
-                                Some(u) => BlockOn::two(k, u, spin),
-                                None => BlockOn::one(k, spin),
-                            }));
-                        }
-                    }
-                    DrainStatus::Running(Step::Run(spin))
+                    // Listen on both pmaps the condition reads: either
+                    // lock's release can clear it, and a pmap unlocked at
+                    // this check may be locked by the time the other is
+                    // released.
+                    let kchan = kernel.pmaps.kernel().lock().channel();
+                    let uchan = kernel.cur_user_pmap[me.index()]
+                        .and_then(|u| kernel.pmaps.get(u).lock().channel());
+                    DrainStatus::Running(match (kchan, uchan) {
+                        (Some(k), Some(u)) => Step::Block(BlockOn::two(k, u, spin)),
+                        (Some(k), None) => Step::Block(BlockOn::one(k, spin)),
+                        (None, _) => Step::Run(spin),
+                    })
                 } else {
                     if let (Some(span), Some(open)) = (self.span, self.open.take()) {
                         let now = ctx.now;
@@ -233,14 +228,8 @@ impl DrainQueue {
                 let lock = &mut ctx.shared.kernel_mut().queue_locks[me.index()];
                 lock.charge_spins(woken);
                 if !lock.try_acquire(me) {
-                    let spin = ctx.costs().spin_iter + ctx.costs().cache_read;
-                    if ctx.shared.kernel().config.spin_mode == SpinMode::Event {
-                        return DrainStatus::Running(Step::Block(BlockOn::one(
-                            queue_lock_channel(me),
-                            spin,
-                        )));
-                    }
-                    return DrainStatus::Running(Step::Run(spin));
+                    let on = BlockOn::one(queue_lock_channel(me), ctx.costs().spin_check());
+                    return DrainStatus::Running(Step::Block(on));
                 }
                 self.lock_gen = lock.steal_gen();
                 let (actions, flush_all) = ctx.shared.kernel_mut().queues[me.index()].drain();
@@ -563,22 +552,9 @@ impl<S: HasKernel> Process<S, ()> for ResponderProcess {
                     self.phase = RPhase::RoundCleanup;
                     return Step::Run(ctx.costs().local_op);
                 }
-                let spin = ctx.costs().spin_iter + ctx.costs().cache_read;
-                let kernel = ctx.shared.kernel();
-                if kernel.config.spin_mode == SpinMode::Event && !chans.is_empty() {
-                    let block = match chans.len() {
-                        1 => BlockOn::one(chans[0], spin),
-                        _ => BlockOn::two(chans[0], chans[1], spin),
-                    };
-                    if kernel.config.health.enabled {
-                        // A dead leader never unlocks; wake at the watchdog
-                        // timeout so a stolen (scrubbed) round is noticed.
-                        let deadline = ctx.now + kernel.config.watchdog.timeout;
-                        return Step::Block(block.with_deadline(deadline));
-                    }
-                    return Step::Block(block);
-                }
-                Step::Run(spin)
+                // A dead leader never unlocks; the watchdog deadline lets a
+                // stolen (scrubbed) round be noticed.
+                lock_wait(ctx, &chans)
             }
             RPhase::RoundCleanup => {
                 let Some(&id) = self.acked.first() else {
@@ -597,7 +573,7 @@ impl<S: HasKernel> Process<S, ()> for ResponderProcess {
                     // Another acknowledged round unlocked first: stall
                     // until this one does too.
                     self.phase = RPhase::RoundStall;
-                    return Step::Run(ctx.costs().spin_iter + ctx.costs().cache_read);
+                    return Step::Run(ctx.costs().spin_check());
                 }
                 let (pmap, extras) = {
                     let r = &ctx.shared.kernel().rounds[i];
@@ -735,8 +711,8 @@ pub fn enter_idle(shared: &mut KernelState, cpu: machtlb_sim::CpuId) {
 }
 
 /// One stall step of the activation gate (see
-/// [`KernelState::activation_blocked_by_round`]): spin or block on the
-/// lock channels of the pmaps whose open rounds hold `me` back. The
+/// [`KernelState::activation_blocked_by_round`]): block on the lock
+/// channels of the pmaps whose open rounds hold `me` back. The
 /// caller re-runs its activation step on wake and re-checks the
 /// predicate; under health monitoring a deadline bounds the wait so a
 /// scrubbed round (dead leader, lock stolen) is noticed.
@@ -757,20 +733,7 @@ fn stall_activation<S: HasKernel>(ctx: &mut Ctx<'_, S, ()>, me: machtlb_sim::Cpu
         }
         chans
     };
-    let spin = ctx.costs().spin_iter + ctx.costs().cache_read;
-    let kernel = ctx.shared.kernel();
-    if kernel.config.spin_mode == SpinMode::Event && !chans.is_empty() {
-        let block = match chans.len() {
-            1 => BlockOn::one(chans[0], spin),
-            _ => BlockOn::two(chans[0], chans[1], spin),
-        };
-        if kernel.config.health.enabled {
-            let deadline = ctx.now + kernel.config.watchdog.timeout;
-            return Step::Block(block.with_deadline(deadline));
-        }
-        return Step::Block(block);
-    }
-    Step::Run(spin)
+    lock_wait(ctx, &chans)
 }
 
 #[derive(Debug)]

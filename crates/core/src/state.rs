@@ -30,14 +30,17 @@ pub struct PendingCommit {
 /// 64-bit words per 4 KiB page.
 pub const WORDS_PER_PAGE: u64 = 512;
 
-/// How kernel spin sites wait for a condition another processor changes.
+/// How the machine executes the spin sites' waits for a condition another
+/// processor changes. Every site returns `Step::Block`; the mode only
+/// decides how the scheduler runs it.
 ///
-/// Both modes produce bit-identical simulated behavior — every clock, bus
-/// transaction, statistic, and trace record agrees; see the equivalence
-/// argument in `machtlb_sim::event`. [`SpinMode::Stepped`] executes one
-/// scheduler step per spin iteration and serves as the oracle;
-/// [`SpinMode::Event`] parks the waiter and charges the skipped iterations
-/// analytically, making long waits O(1) in host work.
+/// [`SpinMode::Stepped`] executes one scheduler step per spin iteration
+/// and serves as the oracle; [`SpinMode::Event`] parks the waiter and
+/// charges the skipped iterations analytically, making long waits O(1) in
+/// host work. Every clock, bus transaction, statistic, and trace record
+/// agrees between the two (see `machtlb_sim::event`), except where the
+/// published-round wait's excusal check reads sets it does not listen for
+/// (DESIGN.md §9).
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
 pub enum SpinMode {
     /// Step the spin loop iteration by iteration (the oracle).
@@ -234,8 +237,9 @@ pub struct KernelConfig {
     pub trace_shootdowns: bool,
     /// Per-processor flight-recorder buffer capacity, in events.
     pub trace_capacity: usize,
-    /// How spin sites wait: stepped iteration (the oracle) or event-driven
-    /// parking (the default; bit-identical, far faster to simulate).
+    /// How spin sites wait: stepped iteration (the test oracle) or
+    /// event-driven parking (the default). Tests select the oracle here;
+    /// only `install_kernel_handlers` reads it, to set up the scheduler.
     pub spin_mode: SpinMode,
     /// The initiator-side IPI-retry watchdog.
     pub watchdog: WatchdogConfig,

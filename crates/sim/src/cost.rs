@@ -152,6 +152,13 @@ impl CostModel {
             context_switch: us,
         }
     }
+
+    /// One failed check of a kernel spin-wait: a loop iteration plus the
+    /// cached read of the condition. The interval of every kernel spin
+    /// site's [`BlockOn`](crate::BlockOn).
+    pub fn spin_check(&self) -> Dur {
+        self.spin_iter + self.cache_read
+    }
 }
 
 impl Default for CostModel {

@@ -32,6 +32,17 @@
 //! check the process performed in the very step that parked it. There is
 //! no lost-wakeup window by construction.
 //!
+//! # The stepped interpretation
+//!
+//! `Step::Block` also has a literal reading: one failed iteration of the
+//! spin loop. With [`Machine::set_stepped_waits`](crate::Machine::set_stepped_waits)
+//! on, the scheduler executes every `Block(on)` exactly like
+//! `Run(on.interval)` — it charges the interval, keeps the frame
+//! runnable, and ignores the channels and the deadline — so the process
+//! re-checks its condition at every lattice point. That is the stepped
+//! loop by definition, and the oracle the event layer is tested against.
+//! Processes never choose between the two readings; the machine does.
+//!
 //! # Channel key registry
 //!
 //! Channels are pure 64-bit keys; no registration exists. Layers carve the

@@ -840,6 +840,80 @@ mod tests {
     }
 
     #[test]
+    fn stepped_waits_run_every_block_as_its_spin_iteration() {
+        /// Only ever blocks (optionally until a deadline): whether it spins
+        /// or parks is the machine's decision. `checks` counts the times
+        /// its condition is really evaluated.
+        #[derive(Debug)]
+        struct BlockingWaiter {
+            deadline: Option<Time>,
+            checks: std::rc::Rc<std::cell::Cell<u64>>,
+        }
+        impl Process<FlagWorld, ()> for BlockingWaiter {
+            fn step(&mut self, ctx: &mut Ctx<'_, FlagWorld, ()>) -> Step {
+                self.checks.set(self.checks.get() + 1);
+                if ctx.shared.flag || self.deadline.is_some_and(|d| ctx.now >= d) {
+                    ctx.shared.trace.push((ctx.cpu_id, ctx.now));
+                    return Step::Done(Dur::micros(1));
+                }
+                let on = BlockOn::one(FLAG_CHAN, SPIN_COST);
+                Step::Block(match self.deadline {
+                    Some(d) => on.with_deadline(d),
+                    None => on,
+                })
+            }
+            fn label(&self) -> &'static str {
+                "blocking-waiter"
+            }
+        }
+
+        let run = |stepped: bool, deadline: Option<Time>| {
+            let mut m = Machine::new(test_config(2), FlagWorld::default(), |_| ());
+            m.set_stepped_waits(stepped);
+            let checks = std::rc::Rc::new(std::cell::Cell::new(0));
+            m.spawn_at(
+                CpuId::new(1),
+                Time::ZERO,
+                Box::new(BlockingWaiter {
+                    deadline,
+                    checks: checks.clone(),
+                }),
+            );
+            m.spawn_at(
+                CpuId::new(0),
+                Time::ZERO,
+                Box::new(FlagSetter {
+                    at: Time::from_micros(80) + Dur::nanos(7),
+                    done: false,
+                }),
+            );
+            let r = m.run_bounded(Time::from_micros(100_000), 100_000_000);
+            assert_eq!(r.status, RunStatus::Quiescent);
+            let cpus: Vec<(Time, CpuStats)> = m.cpus().map(|c| (c.clock(), c.stats())).collect();
+            let fingerprint = (cpus, m.total_steps(), m.into_shared().trace);
+            (fingerprint, checks.get())
+        };
+        // Without a deadline the setter's notify wakes the waiter; with an
+        // off-lattice deadline before the set, the expiry does.
+        for deadline in [None, Some(Time::from_micros(50) + Dur::nanos(1))] {
+            let (event, event_checks) = run(false, deadline);
+            let (stepped, stepped_checks) = run(true, deadline);
+            assert_eq!(
+                stepped, event,
+                "deadline {deadline:?}: clocks, stats, steps and wake instants"
+            );
+            assert_eq!(event.2.len(), 1, "the waiter observes exactly once");
+            // The event run checks at the block and at the wake; the
+            // stepped run checks at every lattice point in between.
+            assert_eq!(event_checks, 2, "deadline {deadline:?}");
+            assert!(
+                stepped_checks > 20,
+                "deadline {deadline:?}: the stepped run checked only {stepped_checks} times"
+            );
+        }
+    }
+
+    #[test]
     fn installing_an_empty_fault_plan_is_invisible() {
         let run = |plan: Option<FaultPlan>| {
             let mut m = Machine::new(test_config(2), IntrLog::default(), |_| ());

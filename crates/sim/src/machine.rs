@@ -191,6 +191,8 @@ pub struct Machine<S, P> {
     /// woken, or notified until (and unless) a revive delivery clears it.
     halted: Vec<bool>,
     multicast_stats: MulticastStats,
+    /// The stepped-wait oracle: see [`Machine::set_stepped_waits`].
+    stepped_waits: bool,
     seq: u64,
     total_steps: u64,
     frontier: Time,
@@ -230,6 +232,7 @@ impl<S, P> Machine<S, P> {
             faults: None,
             halted: vec![false; config.n_cpus],
             multicast_stats: MulticastStats::default(),
+            stepped_waits: false,
             seq: 0,
             total_steps: 0,
             frontier: Time::ZERO,
@@ -279,6 +282,14 @@ impl<S, P> Machine<S, P> {
     /// The interrupt class `vector` was registered with, if any.
     pub fn class_of(&self, vector: Vector) -> Option<IntrClass> {
         self.handlers.get(&vector).map(|h| h.class)
+    }
+
+    /// Turns the stepped-wait test oracle on or off (off by default).
+    /// While on, every [`Step::Block`](crate::Step::Block) runs exactly
+    /// like `Step::Run(on.interval)`, ignoring channels and deadline: the
+    /// stepped spin loop (see the `event` module docs).
+    pub fn set_stepped_waits(&mut self, on: bool) {
+        self.stepped_waits = on;
     }
 
     /// Schedules `proc` to start on `target` at `at`. Spawned processes are
@@ -665,6 +676,7 @@ impl<S, P> Machine<S, P> {
             handlers,
             faults,
             halted,
+            stepped_waits,
             ..
         } = self;
         let n_cpus = cpus.len();
@@ -758,6 +770,8 @@ impl<S, P> Machine<S, P> {
                 // The blocking step is the spin loop's live failed check:
                 // charged exactly like `Run(on.interval)`, then parked on
                 // the channels with the check instant as lattice anchor.
+                // The stepped-wait oracle stops short of the park: the
+                // frame stays runnable and re-checks one interval later.
                 assert!(
                     on.interval > Dur::ZERO,
                     "a blocking process must name its per-iteration cost"
@@ -765,14 +779,16 @@ impl<S, P> Machine<S, P> {
                 cpu.clock += on.interval;
                 cpu.stats.busy += on.interval;
                 cpu.stack.push(frame);
-                cpu.park = ParkState::Blocked {
-                    anchor: now,
-                    on,
-                    // A deadline seeds the wake instant up front: the
-                    // stepped loop's first check at or after the expiry.
-                    wake_at: on.deadline.map(|d| wake_for_delivery(now, on.interval, d)),
-                    frame: cpu.stack.len() - 1,
-                };
+                if !*stepped_waits {
+                    cpu.park = ParkState::Blocked {
+                        anchor: now,
+                        on,
+                        // A deadline seeds the wake instant up front: the
+                        // stepped loop's first check at or after the expiry.
+                        wake_at: on.deadline.map(|d| wake_for_delivery(now, on.interval, d)),
+                        frame: cpu.stack.len() - 1,
+                    };
+                }
             }
         }
 

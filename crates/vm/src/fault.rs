@@ -11,10 +11,10 @@
 use machtlb_pmap::{Access, Pfn, Prot, Vpn};
 use machtlb_sim::{BlockOn, Ctx, Dur, Process, Step};
 
-use machtlb_core::{drive, Driven, PmapOp, PmapOpProcess, SpinMode};
+use machtlb_core::{drive, Driven, PmapOp, PmapOpProcess};
 
 use crate::state::HasVm;
-use crate::task::TaskId;
+use crate::task::{Task, TaskId};
 
 /// How a fault was disposed of.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -174,18 +174,12 @@ impl<S: HasVm> Process<S, ()> for FaultProcess {
         let me = ctx.cpu_id;
         match self.phase {
             FPhase::LockMap => {
-                let spin = ctx.costs().spin_iter + ctx.costs().cache_read;
+                let spin = ctx.costs().spin_check();
                 let woken = ctx.woken_spins();
                 let lock = ctx.shared.vm_mut().task_mut(self.task).map_lock_mut();
                 lock.charge_spins(woken);
                 if !lock.try_acquire(me) {
-                    if ctx.shared.kernel().config.spin_mode == SpinMode::Event {
-                        return Step::Block(BlockOn::one(
-                            crate::task::Task::map_lock_channel(self.task),
-                            spin,
-                        ));
-                    }
-                    return Step::Run(spin);
+                    return Step::Block(BlockOn::one(Task::map_lock_channel(self.task), spin));
                 }
                 self.phase = FPhase::Resolve;
                 ctx.shared.kernel_mut().stats.faults += 1;

@@ -12,7 +12,7 @@
 use machtlb_pmap::{PageRange, Prot, Vpn};
 use machtlb_sim::{BlockOn, Ctx, Dur, Process, Step};
 
-use machtlb_core::{drive, Driven, PmapOp, PmapOpProcess, SpinMode};
+use machtlb_core::{drive, Driven, PmapOp, PmapOpProcess};
 
 use crate::map::{Inheritance, VmEntry};
 use crate::state::HasVm;
@@ -444,15 +444,12 @@ impl<S: HasVm> Process<S, ()> for VmOpProcess {
                     self.phase = VPhase::MapUpdate;
                     return Step::Run(ctx.costs().local_op);
                 };
-                let spin = ctx.costs().spin_iter + ctx.costs().cache_read;
+                let spin = ctx.costs().spin_check();
                 let woken = ctx.woken_spins();
                 let lock = ctx.shared.vm_mut().task_mut(task).map_lock_mut();
                 lock.charge_spins(woken);
                 if !lock.try_acquire(me) {
-                    if ctx.shared.kernel().config.spin_mode == SpinMode::Event {
-                        return Step::Block(BlockOn::one(Task::map_lock_channel(task), spin));
-                    }
-                    return Step::Run(spin);
+                    return Step::Block(BlockOn::one(Task::map_lock_channel(task), spin));
                 }
                 self.phase = VPhase::LockMaps { idx: idx + 1 };
                 Step::Run(ctx.costs().lock_acquire + ctx.bus_interlocked())

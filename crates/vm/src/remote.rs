@@ -8,7 +8,7 @@
 //! flight, and must drop its cached entries before leaving the set — the
 //! same discipline as the context-switch path.
 
-use machtlb_core::{MemOp, SpinMode, SYNC_CHANNEL};
+use machtlb_core::{MemOp, SYNC_CHANNEL};
 use machtlb_pmap::{PmapId, Vaddr};
 use machtlb_sim::{BlockOn, Ctx, Dur, Process, Step};
 
@@ -112,13 +112,11 @@ impl RemoteCopyProcess {
         {
             let lock = ctx.shared.kernel().pmaps.get(pmap).lock();
             if lock.is_locked() && !lock.is_held_by(ctx.cpu_id) {
-                let spin = ctx.costs().spin_iter + ctx.costs().cache_read;
-                let chan = ctx.shared.kernel().pmaps.get(pmap).lock().channel();
-                if let (SpinMode::Event, Some(chan)) = (ctx.shared.kernel().config.spin_mode, chan)
-                {
-                    return Some(Step::Block(BlockOn::one(chan, spin)));
-                }
-                return Some(Step::Run(spin));
+                let spin = ctx.costs().spin_check();
+                return Some(match lock.channel() {
+                    Some(chan) => Step::Block(BlockOn::one(chan, spin)),
+                    None => Step::Run(spin),
+                });
             }
         }
         let me = ctx.cpu_id;

@@ -172,7 +172,6 @@ pub fn build_system_machine(
     costs: CostModel,
     kconfig: KernelConfig,
 ) -> SystemMachine {
-    let high_prio = kconfig.high_prio_ipi;
     let state = SystemState::new(n_cpus, kconfig);
     let mconfig = MachineConfig {
         n_cpus,
@@ -181,7 +180,7 @@ pub fn build_system_machine(
         topology: state.kernel.topology,
     };
     let mut m = Machine::new(mconfig, state, |_| ());
-    install_kernel_handlers(&mut m, high_prio);
+    install_kernel_handlers(&mut m);
     m
 }
 

@@ -9,7 +9,7 @@
 //! processors) between search runs once "it has allocated the memory
 //! internally".
 
-use machtlb_core::{drive, Driven, HasKernel, MemOp, SpinMode};
+use machtlb_core::{drive, Driven, MemOp};
 use machtlb_pmap::{Vaddr, Vpn, PAGE_SIZE};
 use machtlb_sim::{BlockOn, CpuId, Ctx, Dur, Process, RunStatus, Step, WaitChannel};
 use machtlb_vm::{
@@ -103,17 +103,16 @@ impl Process<WlState, ()> for Worker {
     fn step(&mut self, ctx: &mut Ctx<'_, WlState, ()>) -> Step {
         match &mut self.phase {
             WPhase::SpinSetup => {
-                let spin = ctx.costs().spin_iter + ctx.costs().cache_read;
-                if ctx.shared.agora().setup_done {
-                    self.phase = WPhase::Step {
-                        left: self.cfg.wave_steps,
-                        computing: 0,
-                    };
-                } else if ctx.shared.kernel().config.spin_mode == SpinMode::Event {
+                let spin = ctx.costs().spin_check();
+                if !ctx.shared.agora().setup_done {
+                    // Busy-polling: this worker stays active and is exactly
+                    // what the setup-phase shootdowns hit.
                     return Step::Block(BlockOn::one(SETUP_CHANNEL, spin));
                 }
-                // Busy-polling: this worker stays active and is exactly
-                // what the setup-phase shootdowns hit.
+                self.phase = WPhase::Step {
+                    left: self.cfg.wave_steps,
+                    computing: 0,
+                };
                 Step::Run(spin)
             }
             WPhase::Step { left, computing } => {
@@ -312,10 +311,8 @@ impl Process<WlState, ()> for Master {
                         current: None,
                     };
                     Step::Run(ctx.costs().local_op)
-                } else if ctx.shared.kernel().config.spin_mode == SpinMode::Event {
-                    Step::Block(BlockOn::one(RUN_CHANNEL, Dur::micros(300)))
                 } else {
-                    Step::Run(Dur::micros(300))
+                    Step::Block(BlockOn::one(RUN_CHANNEL, Dur::micros(300)))
                 }
             }
             CPhase::InterRun { op, current } => {

@@ -10,7 +10,7 @@
 //! mappings — a user shootdown against the processors running server
 //! threads.
 
-use machtlb_core::{drive, Driven, HasKernel, MemOp, SpinMode};
+use machtlb_core::{drive, Driven, MemOp};
 use machtlb_pmap::{PageRange, Vaddr, Vpn, PAGE_SIZE};
 use machtlb_sim::{BlockOn, CpuId, Ctx, Dur, Process, RunStatus, Step, WaitChannel};
 use machtlb_vm::{
@@ -433,10 +433,8 @@ impl Process<WlState, ()> for Coordinator {
                 if ctx.shared.camelot().clients_alive == 0 {
                     self.phase = CPhase::StopServers;
                     Step::Run(ctx.costs().local_op)
-                } else if ctx.shared.kernel().config.spin_mode == SpinMode::Event {
-                    Step::Block(BlockOn::one(CLIENTS_CHANNEL, Dur::micros(400)))
                 } else {
-                    Step::Run(Dur::micros(400))
+                    Step::Block(BlockOn::one(CLIENTS_CHANNEL, Dur::micros(400)))
                 }
             }
             CPhase::StopServers => {
@@ -449,10 +447,8 @@ impl Process<WlState, ()> for Coordinator {
                     let now = ctx.now;
                     ctx.shared.camelot_mut().completed_at = Some(now);
                     Step::Done(ctx.costs().local_op)
-                } else if ctx.shared.kernel().config.spin_mode == SpinMode::Event {
-                    Step::Block(BlockOn::one(SERVERS_CHANNEL, Dur::micros(200)))
                 } else {
-                    Step::Run(Dur::micros(200))
+                    Step::Block(BlockOn::one(SERVERS_CHANNEL, Dur::micros(200)))
                 }
             }
         }

@@ -61,7 +61,7 @@ pub fn build_workload_machine(config: &RunConfig, app: AppShared) -> WlMachine {
         topology: state.sys.kernel.topology,
     };
     let mut m = Machine::new(mconfig, state, |_| ());
-    install_kernel_handlers(&mut m, config.kconfig.high_prio_ipi);
+    install_kernel_handlers(&mut m);
     for c in 0..config.n_cpus {
         m.spawn_at(
             CpuId::new(c as u32),

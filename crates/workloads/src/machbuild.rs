@@ -8,7 +8,7 @@
 //! Roughly half the kernel cycles are metadata probes that never touch
 //! their buffer, which is what lazy evaluation eliminates in Table 1.
 
-use machtlb_core::{drive, Driven, HasKernel, MemOp, SpinMode};
+use machtlb_core::{drive, Driven, MemOp};
 use machtlb_pmap::{Vaddr, Vpn, PAGE_SIZE};
 use machtlb_sim::{BlockOn, CpuId, Ctx, Dur, Process, RunStatus, Step, WaitChannel};
 use machtlb_vm::{
@@ -216,10 +216,7 @@ impl Process<WlState, ()> for BuildCoordinator {
                 }
                 if b.jobs_running >= n_cpus - 1 {
                     // All worker processors busy: poll until one retires.
-                    if ctx.shared.kernel().config.spin_mode == SpinMode::Event {
-                        return Step::Block(BlockOn::one(JOB_CHANNEL, Dur::micros(200)));
-                    }
-                    return Step::Run(Dur::micros(200));
+                    return Step::Block(BlockOn::one(JOB_CHANNEL, Dur::micros(200)));
                 }
                 {
                     let b = ctx.shared.machbuild_mut();
@@ -256,10 +253,8 @@ impl Process<WlState, ()> for BuildCoordinator {
                 if b.jobs_done == self.cfg.jobs {
                     b.completed_at = Some(now);
                     Step::Done(ctx.costs().local_op)
-                } else if ctx.shared.kernel().config.spin_mode == SpinMode::Event {
-                    Step::Block(BlockOn::one(JOB_CHANNEL, Dur::micros(500)))
                 } else {
-                    Step::Run(Dur::micros(500))
+                    Step::Block(BlockOn::one(JOB_CHANNEL, Dur::micros(500)))
                 }
             }
         }

@@ -12,7 +12,7 @@
 //! threads"), plus a trickle of mostly-untouched kernel buffers.
 
 use machtlb_core::drive;
-use machtlb_core::{Driven, HasKernel, SpinMode};
+use machtlb_core::Driven;
 use machtlb_pmap::{PageRange, Prot, Vpn};
 use machtlb_sim::{BlockOn, CpuId, Ctx, Dur, Process, RunStatus, Step, WaitChannel};
 use machtlb_vm::{HasVm, TaskId, VmOp, VmOpProcess, USER_SPAN_START};
@@ -358,10 +358,8 @@ impl Process<WlState, ()> for ProverMain {
                 if ctx.shared.parthenon().workers_alive == 0 {
                     self.phase = CPhase::TerminateTask;
                     Step::Run(ctx.costs().local_op)
-                } else if ctx.shared.kernel().config.spin_mode == SpinMode::Event {
-                    Step::Block(BlockOn::one(RUN_CHANNEL, Dur::micros(300)))
                 } else {
-                    Step::Run(Dur::micros(300))
+                    Step::Block(BlockOn::one(RUN_CHANNEL, Dur::micros(300)))
                 }
             }
             CPhase::TerminateTask => {

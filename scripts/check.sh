@@ -66,6 +66,24 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
+echo "==> one reader of the spin-mode knob"
+# Every spin site returns Step::Block and the machine decides how it
+# waits: outside the KernelConfig field and enum (state.rs) and the
+# re-exports (lib.rs), only install_kernel_handlers may read the knob.
+# Comments may name it anywhere.
+KNOB='spin_mode|SpinMode::'
+knob_code() { grep -rHnE "$KNOB" "$@" | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true; }
+stray=$(knob_code crates/*/src | grep -vE '^crates/core/src/(state|lib|kernel)\.rs:' || true)
+in_kernel=$(knob_code crates/core/src/kernel.rs | wc -l)
+in_reader=$(awk '/^pub fn install_kernel_handlers/,/^}/' crates/core/src/kernel.rs \
+    | grep -E "$KNOB" | grep -cvE '^[[:space:]]*//' || true)
+if [ -n "$stray" ] || [ "$in_kernel" != "$in_reader" ]; then
+    echo "error: the spin mode is read outside install_kernel_handlers:" >&2
+    [ -n "$stray" ] && echo "$stray" >&2
+    grep -nE "$KNOB" crates/core/src/kernel.rs >&2
+    exit 1
+fi
+
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets --quiet -- -D warnings
 

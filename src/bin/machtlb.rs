@@ -16,6 +16,7 @@ use machtlb::core::{
     run_soak, schedule_json, shrink, soak_json, survival_json, ChaosConfig, FuzzConfig,
     KernelConfig, SoakConfig, Strategy, Survival,
 };
+use machtlb::pmap::{SHARD_GRANULE, VPN_SPAN};
 use machtlb::sim::{BusOp, CostModel, Dur, Time, Topology};
 use machtlb::tlb::{ReloadPolicy, TlbConfig, WritebackPolicy};
 use machtlb::workloads::{
@@ -162,6 +163,22 @@ impl Args {
             Some(v) => v.parse().map_err(|_| format!("--{name}: bad number {v}")),
         }
     }
+
+    /// A 32-bit flag: a value that does not fit is refused instead of
+    /// truncated (`4294967297` would otherwise run as 1).
+    fn num_u32(&self, name: &str, default: u32) -> Result<u32, String> {
+        let v = self.num(name, u64::from(default))?;
+        u32::try_from(v).map_err(|_| format!("--{name}: {v} is out of range"))
+    }
+
+    /// A count that must be at least 1: zero seeds, rounds or cycles
+    /// would report a vacuous green verdict.
+    fn count(&self, name: &str, default: u64) -> Result<u64, String> {
+        match self.num(name, default)? {
+            0 => Err(format!("--{name}: need at least 1")),
+            n => Ok(n),
+        }
+    }
 }
 
 /// The `--cpus` flag, refused below `min` so an undersized machine is a
@@ -235,11 +252,14 @@ fn apply_delivery_flags(args: &Args, mut kconfig: KernelConfig) -> Result<Kernel
         return Err("--fanout: degree must be at least 1".into());
     }
     kconfig.fanout = fanout;
-    let shards = args.num("shards", kconfig.pmap_shards as u64)? as usize;
-    if shards == 0 {
-        return Err("--shards: need at least 1 shard".into());
+    // A shard covers whole granules, so more shards than granules would
+    // only allocate locks no range can ever map to.
+    let max_shards = VPN_SPAN / SHARD_GRANULE;
+    let shards = args.num("shards", kconfig.pmap_shards as u64)?;
+    if !(1..=max_shards).contains(&shards) {
+        return Err(format!("--shards: need 1 to {max_shards}, not {shards}"));
     }
-    kconfig.pmap_shards = shards;
+    kconfig.pmap_shards = shards as usize;
     kconfig.batch_initiators = match args.get("batch") {
         None => kconfig.batch_initiators,
         Some("on") => true,
@@ -342,7 +362,7 @@ fn base_config(cpus: usize, seed: u64, kconfig: KernelConfig) -> RunConfig {
 }
 
 fn cmd_tester(args: &Args) -> Result<(), String> {
-    let children = args.num("children", 7)? as u32;
+    let children = args.num_u32("children", 7)?;
     let cpus = cpus_flag(args, 16, 2, "tester")?;
     let seed = args.num("seed", 1)?;
     let strategy = args.get("strategy").unwrap_or("shootdown");
@@ -550,8 +570,14 @@ fn bus_table(bus: &machtlb::sim::BusStats) -> TextTable {
 
 fn cmd_fig2(args: &Args) -> Result<(), String> {
     let cpus = cpus_flag(args, 16, 2, "fig2")?;
-    let max_k = args.num("max-k", (cpus - 1).min(15) as u64)? as u32;
-    let runs = args.num("runs", 5)?;
+    let max_k = args.num_u32("max-k", (cpus - 1).min(15) as u32)?;
+    if max_k == 0 || max_k as usize >= cpus {
+        return Err(format!(
+            "--max-k: need 1 to {} on {cpus} processors",
+            cpus - 1
+        ));
+    }
+    let runs = args.count("runs", 5)?;
     println!("basic shootdown cost, k = 1..={max_k} on {cpus} processors, {runs} runs each");
     let mut pts = Vec::new();
     for k in 1..=max_k {
@@ -938,8 +964,8 @@ fn cmd_bench_check(args: &Args) -> Result<(), String> {
 /// caught fatal, or a beyond-envelope plan passing silently.
 fn cmd_chaos(args: &Args) -> Result<(), String> {
     let cpus = cpus_flag(args, 8, 4, "chaos")?;
-    let n_seeds = args.num("seeds", 3)?;
-    let rounds = args.num("rounds", 3)?;
+    let n_seeds = args.count("seeds", 3)?;
+    let rounds = args.count("rounds", 3)?;
     let seeds: Vec<u64> = (1..=n_seeds).collect();
     let plans = plan_catalog(cpus);
     println!(
@@ -1055,8 +1081,11 @@ fn cmd_soak(args: &Args) -> Result<(), String> {
     let mut cpus = cpus_flag(args, 32, 4, "soak")?;
     let mut cycles = args.num("cycles", 5)?;
     let seed = args.num("seed", 7)?;
-    let mut rounds = args.num("rounds", 3)?;
+    let mut rounds = args.count("rounds", 3)?;
     let duration = args.get("duration").map(parse_duration).transpose()?;
+    if cycles == 0 && duration.is_none() {
+        return Err("--cycles: need at least 1 (or a --duration)".into());
+    }
     if smoke {
         // The CI-budget preset: one full shape rotation on the smallest
         // machine in the 32–128 acceptance band, two rounds a cycle.
@@ -1143,9 +1172,9 @@ fn cmd_soak(args: &Args) -> Result<(), String> {
 fn cmd_fuzz(args: &Args) -> Result<(), String> {
     let smoke = matches!(args.get("smoke"), Some("on"));
     let seed = args.num("seed", 1)?;
-    let mut budget = args.num("budget", 200)?;
+    let mut budget = args.count("budget", 200)?;
     let mut cpus = args.num("cpus", 0)? as usize;
-    let mut rounds = args.num("rounds", 3)?;
+    let mut rounds = args.count("rounds", 3)?;
     let do_shrink = !matches!(args.get("shrink"), Some("off"));
     let max_replays = args.num("max-replays", 500)?;
     if smoke {
@@ -1156,9 +1185,6 @@ fn cmd_fuzz(args: &Args) -> Result<(), String> {
             cpus = 8;
         }
         rounds = rounds.min(2);
-    }
-    if budget == 0 {
-        return Err("--budget: need at least one schedule".into());
     }
     if cpus != 0 && cpus < 6 {
         return Err("fuzz needs at least 6 processors (or --cpus 0 to rotate)".into());

@@ -41,6 +41,41 @@ fn undersized_machines_are_usage_errors_not_panics() {
     }
 }
 
+/// Numeric flags are never truncated or allowed to exhaust memory: a
+/// child or sweep count past `u32` once ran as 1, a sweep wider than the
+/// machine panicked in the tester, and a huge shard count aborted in the
+/// allocator.
+#[test]
+fn out_of_range_numbers_are_usage_errors() {
+    for args in [
+        &["tester", "--children", "4294967297"][..],
+        &["fig2", "--max-k", "4294967297"],
+        &["fig2", "--max-k", "16"],
+        &["tester", "--shards", "100000000000"],
+        &["tester", "--shards", "16385"],
+    ] {
+        assert_usage_error(args);
+    }
+}
+
+/// A verdict over nothing is not green: zero seeds, rounds or cycles are
+/// refused instead of reporting a vacuous success.
+#[test]
+fn vacuous_runs_are_usage_errors() {
+    for args in [
+        &["chaos", "--cpus", "4", "--seeds", "0"][..],
+        &["chaos", "--cpus", "4", "--rounds", "0"],
+        &["soak", "--rounds", "0"],
+        &["soak", "--cycles", "0"],
+        &["fuzz", "--rounds", "0"],
+        &["fuzz", "--budget", "0"],
+        &["fig2", "--max-k", "0"],
+        &["fig2", "--runs", "0"],
+    ] {
+        assert_usage_error(args);
+    }
+}
+
 /// A hand-edited schedule whose victim does not fit a processor id is
 /// refused: `"cpu": 4294967297` once replayed green as a stall on cpu1.
 #[test]

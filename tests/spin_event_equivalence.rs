@@ -190,6 +190,39 @@ fn wide_machine_is_identical_and_cheaper_to_simulate() {
     assert_reports_equal("tester/32cpu", &stepped, &event);
 }
 
+/// The published-round path (fanout 8): the leader's RoundWait, the
+/// responders' RoundStall and, with batching, the joiners' wait on the
+/// leader's unlock all block, so the stepped oracle charges each failed
+/// check exactly like the event waiter's blocking step.
+#[test]
+fn published_rounds_are_identical_under_both_modes() {
+    for n_cpus in [8usize, 32] {
+        for batch in [false, true] {
+            let run = |mode: SpinMode| {
+                let mut c = config(Strategy::Shootdown, mode, 43);
+                c.n_cpus = n_cpus;
+                c.kconfig.fanout = 8;
+                c.kconfig.batch_initiators = batch;
+                c.kconfig.pmap_shards = if batch { 4 } else { 1 };
+                let tcfg = TesterConfig {
+                    children: n_cpus as u32 - 1,
+                    warmup_increments: 10,
+                };
+                run_tester(&c, &tcfg)
+            };
+            let stepped = run(SpinMode::Stepped);
+            let event = run(SpinMode::Event);
+            let label = format!("tester/fanout8/{n_cpus}cpu/batch={batch}");
+            assert_eq!(stepped.mismatch, event.mismatch, "{label}: mismatch");
+            assert_eq!(
+                stepped.shootdown, event.shootdown,
+                "{label}: measured shootdown"
+            );
+            assert_reports_equal(&label, &stepped.report, &event.report);
+        }
+    }
+}
+
 /// A stress mix that drives the op-layer Lock/QueueScan/Wait spins, the
 /// responder spins, and the VM map-lock spins at once, then diffs the two
 /// modes' complete machine state.
