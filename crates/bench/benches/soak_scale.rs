@@ -47,28 +47,31 @@ fn main() {
             o.survived,
             "soak at {n} processors must survive a full rotation: {o:?}"
         );
-        assert!(o.evictions >= 4, "the halt shapes must evict: {o:?}");
-        assert!(o.ops_retried >= 1, "the failop shape must retry: {o:?}");
+        assert!(o.stats.evictions >= 4, "the halt shapes must evict: {o:?}");
+        assert!(
+            o.stats.ops_retried >= 1,
+            "the failop shape must retry: {o:?}"
+        );
         let sim_us: f64 = o.log.iter().map(|c| c.end.as_micros_f64()).sum();
         t.add_row(vec![
             n.to_string(),
             o.cycles.to_string(),
             o.ops.to_string(),
-            o.evictions.to_string(),
-            o.fenced_rejoins.to_string(),
-            o.self_fences.to_string(),
-            o.ops_retried.to_string(),
-            o.locks_stolen.to_string(),
+            o.stats.evictions.to_string(),
+            o.stats.fenced_rejoins.to_string(),
+            o.stats.self_fences.to_string(),
+            o.stats.ops_retried.to_string(),
+            o.stats.locks_stolen.to_string(),
             format!("{:.1}", sim_us / 1000.0),
         ]);
         report.push(
             BenchMetric::new(format!("soak/n{n}"), n as u64, "shootdown", 1, sim_us)
                 .counter("ops", o.ops)
-                .counter("evictions", o.evictions)
-                .counter("fenced_rejoins", o.fenced_rejoins)
-                .counter("self_fences", o.self_fences)
-                .counter("ops_retried", o.ops_retried)
-                .counter("locks_stolen", o.locks_stolen),
+                .counter("evictions", o.stats.evictions)
+                .counter("fenced_rejoins", o.stats.fenced_rejoins)
+                .counter("self_fences", o.stats.self_fences)
+                .counter("ops_retried", o.stats.ops_retried)
+                .counter("locks_stolen", o.stats.locks_stolen),
         );
     }
 

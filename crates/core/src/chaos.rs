@@ -834,12 +834,12 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosOutcome {
         .any(|q| q.poisoned() > 0 || q.overflows() > 0);
     // A give-up the health monitor answered with an eviction is recovery,
     // not failure: the run degraded but stayed consistent. Only give-ups
-    // the monitor did *not* absorb (health disabled) remain fatal.
-    let unrecovered = stats.watchdog_gaveup.saturating_sub(stats.evictions);
-    // An exhausted FailOp driver abandoned an operation: the workload may
+    // the monitor did *not* absorb (health disabled) remain fatal. An
+    // exhausted FailOp driver abandoned an operation: the workload may
     // still raise its sentinel, but the campaign did not do its work —
     // that is a caught failure, never a pass.
-    let caught = violations > 0 || unrecovered > 0 || stats.retries_exhausted > 0 || !completed;
+    let caught =
+        violations > 0 || stats.unrecovered() > 0 || stats.retries_exhausted > 0 || !completed;
     let degraded = stats.ipi_retries > 0
         || stats.degraded_flushes > 0
         || queue_degraded
@@ -956,26 +956,23 @@ pub fn check_envelope(outcomes: &[ChaosOutcome]) -> Vec<String> {
 
 /// Renders a chaos matrix as machine-readable JSON for CI gates and
 /// artifact diffing. Shape: `{"outcomes": [{plan, cpus, seed, tolerable,
-/// survival, completed, violations, …counters…, steps, end_ns,
-/// schedule}], "failures": [env-check messages], "green": bool}` —
-/// `schedule` is the row's campaign in the `repro.json` format (written
-/// by [`schedule_json`], `null` for a bare run), and `green` mirrors the
-/// process exit code (`false` iff [`check_envelope`] returned failures).
+/// survival, completed, violations, …hardening counters…, steps, end_ns,
+/// schedule}], "failures": [env-check messages], "green": bool}`. The
+/// counters are [`KernelStats::hardening`](crate::KernelStats::hardening),
+/// in registry order; `schedule` is the row's campaign in the
+/// `repro.json` format (written by [`schedule_json`], `null` for a bare
+/// run), and `green` mirrors the process exit code (`false` iff
+/// [`check_envelope`] returned failures).
 pub fn survival_json(outcomes: &[ChaosOutcome], failures: &[String]) -> String {
     let mut s = String::from("{\n  \"outcomes\": [\n");
     for (i, o) in outcomes.iter().enumerate() {
         let schedule = o.schedule.as_ref().map_or("null".into(), |p| {
             schedule_json(p).trim_end().replace('\n', "\n      ")
         });
-        let _ = writeln!(
+        let _ = write!(
             s,
             "    {{\"plan\": \"{}\", \"cpus\": {}, \"seed\": {}, \"tolerable\": {}, \
-             \"survival\": \"{}\", \"completed\": {}, \"violations\": {}, \
-             \"ipi_retries\": {}, \"watchdog_gaveup\": {}, \"evictions\": {}, \
-             \"fenced_rejoins\": {}, \"locks_stolen\": {}, \"degraded_flushes\": {}, \
-             \"late_acks_rejected\": {}, \"self_fences\": {}, \"ops_retried\": {}, \
-             \"retries_exhausted\": {}, \"steps\": {}, \"end_ns\": {},\n      \
-             \"schedule\": {schedule}}}{}",
+             \"survival\": \"{}\", \"completed\": {}, \"violations\": {}, ",
             escape(o.plan()),
             o.n_cpus,
             o.seed,
@@ -983,16 +980,13 @@ pub fn survival_json(outcomes: &[ChaosOutcome], failures: &[String]) -> String {
             o.survival.name(),
             o.completed,
             o.violations,
-            o.stats.ipi_retries,
-            o.stats.watchdog_gaveup,
-            o.stats.evictions,
-            o.stats.fenced_rejoins,
-            o.stats.locks_stolen,
-            o.stats.degraded_flushes,
-            o.stats.late_acks_rejected,
-            o.stats.self_fences,
-            o.stats.ops_retried,
-            o.stats.retries_exhausted,
+        );
+        for (name, v) in o.stats.hardening() {
+            let _ = write!(s, "\"{name}\": {v}, ");
+        }
+        let _ = writeln!(
+            s,
+            "\"steps\": {}, \"end_ns\": {},\n      \"schedule\": {schedule}}}{}",
             o.steps,
             o.end.as_nanos(),
             if i + 1 == outcomes.len() { "" } else { "," },

@@ -212,30 +212,14 @@ pub fn stall_report<S: HasKernel>(m: &Machine<S, ()>) -> String {
     // The most common wedge the health monitor exists to prevent: a
     // give-up that never became an eviction means a dead responder is
     // still a member of the sets initiators wait on.
-    if k.stats.watchdog_gaveup > k.stats.evictions {
+    if k.stats.unrecovered() > 0 {
         let _ = writeln!(
             out,
             "hint: watchdog give-ups exceed evictions; a fail-stop responder \
              may still wedge initiators (health monitor disabled?)"
         );
     }
-    let _ = writeln!(
-        out,
-        "hardening: ipi_retries={} watchdog_gaveup={} degraded_flushes={} \
-         evictions={} fenced_rejoins={} locks_stolen={} robbed_restarts={} \
-         late_acks_rejected={} self_fences={} ops_retried={} retries_exhausted={}",
-        k.stats.ipi_retries,
-        k.stats.watchdog_gaveup,
-        k.stats.degraded_flushes,
-        k.stats.evictions,
-        k.stats.fenced_rejoins,
-        k.stats.locks_stolen,
-        k.stats.robbed_restarts,
-        k.stats.late_acks_rejected,
-        k.stats.self_fences,
-        k.stats.ops_retried,
-        k.stats.retries_exhausted
-    );
+    let _ = writeln!(out, "hardening: {}", k.stats.hardening_line());
     out
 }
 

@@ -99,7 +99,7 @@ pub use queue::{Action, ActionQueue, EnqueueOutcome};
 pub use responder::{enter_idle, ExitIdleProcess, ResponderProcess};
 pub use schedule::{
     offline_floor_us, parse_schedule, revive_floor_us, run_schedule, schedule_from_json,
-    schedule_json, FaultSchedule, ScheduleEvent, WRONGFUL_STALL_US,
+    schedule_json, FaultSchedule, ScheduleEvent, MAX_SCHEDULE_CPUS, WRONGFUL_STALL_US,
 };
 pub use soak::{
     run_soak, soak_cycle_schedule, soak_exhaustion_schedule, soak_json, SoakConfig, SoakCycle,

@@ -19,6 +19,7 @@ use machtlb_xpr::json::escape;
 
 use crate::chaos::{run_chaos, ChaosConfig, Survival};
 use crate::schedule::{FaultSchedule, ScheduleEvent, WRONGFUL_STALL_US};
+use crate::state::KernelStats;
 
 /// One soak run's inputs.
 #[derive(Clone, Debug)]
@@ -99,20 +100,8 @@ pub struct SoakOutcome {
     pub violations: u64,
     /// Watchdog give-ups not absorbed into evictions, across all cycles.
     pub unrecovered: u64,
-    /// Processors evicted across all cycles.
-    pub evictions: u64,
-    /// Fenced rejoins across all cycles.
-    pub fenced_rejoins: u64,
-    /// Self-detected evictions (wrongful-eviction recoveries).
-    pub self_fences: u64,
-    /// Stale-generation acknowledgements rejected.
-    pub late_acks_rejected: u64,
-    /// FailOp operations restarted after dead-holder aborts.
-    pub ops_retried: u64,
-    /// FailOp drivers that exhausted their restart budget.
-    pub retries_exhausted: u64,
-    /// Locks stolen from dead holders.
-    pub locks_stolen: u64,
+    /// Kernel counters summed across all cycles.
+    pub stats: KernelStats,
     /// The acceptance verdict: every cycle completed, zero violations,
     /// zero unrecovered give-ups, zero exhausted retries.
     pub survived: bool,
@@ -245,19 +234,13 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakOutcome {
         let mut ccfg = ChaosConfig::scaled(cfg.n_cpus, plan.seed, Some(plan));
         ccfg.rounds = cfg.rounds;
         let o = run_chaos(&ccfg);
-        let unrecovered = o.stats.watchdog_gaveup.saturating_sub(o.stats.evictions);
+        let unrecovered = o.stats.unrecovered();
         out.cycles += 1;
         out.ops += ops;
         out.completed_cycles += u64::from(o.completed);
         out.violations += o.violations as u64;
         out.unrecovered += unrecovered;
-        out.evictions += o.stats.evictions;
-        out.fenced_rejoins += o.stats.fenced_rejoins;
-        out.self_fences += o.stats.self_fences;
-        out.late_acks_rejected += o.stats.late_acks_rejected;
-        out.ops_retried += o.stats.ops_retried;
-        out.retries_exhausted += o.stats.retries_exhausted;
-        out.locks_stolen += o.stats.locks_stolen;
+        out.stats += o.stats;
         out.log.push(SoakCycle {
             cycle,
             plan: o.plan().to_string(),
@@ -273,7 +256,7 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakOutcome {
     out.survived = out.completed_cycles == out.cycles
         && out.violations == 0
         && out.unrecovered == 0
-        && out.retries_exhausted == 0;
+        && out.stats.retries_exhausted == 0;
     out
 }
 
@@ -282,25 +265,13 @@ pub fn run_soak(cfg: &SoakConfig) -> SoakOutcome {
 pub fn soak_json(o: &SoakOutcome) -> String {
     let mut s = format!(
         "{{\n  \"cpus\": {}, \"cycles\": {}, \"seed\": {}, \"ops\": {},\n  \
-         \"completed_cycles\": {}, \"violations\": {}, \"unrecovered\": {},\n  \
-         \"evictions\": {}, \"fenced_rejoins\": {}, \"self_fences\": {}, \
-         \"late_acks_rejected\": {},\n  \"ops_retried\": {}, \
-         \"retries_exhausted\": {}, \"locks_stolen\": {},\n  \"cycle_log\": [\n",
-        o.n_cpus,
-        o.cycles,
-        o.seed,
-        o.ops,
-        o.completed_cycles,
-        o.violations,
-        o.unrecovered,
-        o.evictions,
-        o.fenced_rejoins,
-        o.self_fences,
-        o.late_acks_rejected,
-        o.ops_retried,
-        o.retries_exhausted,
-        o.locks_stolen,
+         \"completed_cycles\": {}, \"violations\": {}, \"unrecovered\": {},\n ",
+        o.n_cpus, o.cycles, o.seed, o.ops, o.completed_cycles, o.violations, o.unrecovered,
     );
+    for (name, v) in o.stats.hardening() {
+        s.push_str(&format!(" \"{name}\": {v},"));
+    }
+    s.push_str("\n  \"cycle_log\": [\n");
     for (i, c) in o.log.iter().enumerate() {
         s.push_str(&format!(
             "    {{\"cycle\": {}, \"plan\": \"{}\", \"seed\": {}, \"survival\": \"{}\", \
@@ -333,9 +304,12 @@ mod tests {
         assert_eq!(o.completed_cycles, 5, "{o:?}");
         assert_eq!(o.violations, 0, "{o:?}");
         assert_eq!(o.unrecovered, 0, "{o:?}");
-        assert!(o.evictions >= 4, "every halt shape evicts: {o:?}");
-        assert!(o.self_fences >= 1, "the wrongful cycle self-fences: {o:?}");
-        assert!(o.ops_retried >= 1, "the failop cycle retries: {o:?}");
+        assert!(o.stats.evictions >= 4, "every halt shape evicts: {o:?}");
+        assert!(
+            o.stats.self_fences >= 1,
+            "the wrongful cycle self-fences: {o:?}"
+        );
+        assert!(o.stats.ops_retried >= 1, "the failop cycle retries: {o:?}");
         assert!(o.ops >= 5 * 12, "{o:?}");
     }
 
@@ -352,7 +326,7 @@ mod tests {
         cfg.inject_exhaustion = true;
         let o = run_soak(&cfg);
         assert!(!o.survived, "{o:?}");
-        assert!(o.retries_exhausted >= 1, "{o:?}");
+        assert!(o.stats.retries_exhausted >= 1, "{o:?}");
         let json = soak_json(&o);
         assert!(json.contains("\"survived\": false"), "{json}");
         assert!(json.contains("soak-failop-exhausted"), "{json}");

@@ -306,111 +306,161 @@ impl Default for KernelConfig {
     }
 }
 
-/// Cumulative kernel counters.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub struct KernelStats {
-    /// Pmap operations executed.
-    pub pmap_ops: u64,
-    /// Shootdowns initiated on the kernel pmap.
-    pub shootdowns_kernel: u64,
-    /// Shootdowns initiated on user pmaps.
-    pub shootdowns_user: u64,
-    /// Operations where the lazy-evaluation check skipped the shootdown.
-    pub lazy_skips: u64,
-    /// Page faults taken.
-    pub faults: u64,
-    /// Unrecoverable faults (no valid VM mapping permits the access).
-    pub unrecoverable_faults: u64,
-    /// Shootdown IPIs sent.
-    pub ipis_sent: u64,
-    /// Pages evicted by the pageout daemon.
-    pub pageouts: u64,
-    /// Dirty pages the pageout daemon wrote before evicting.
-    pub pageout_writes: u64,
-    /// Consistency actions that merged into an already-queued action for
-    /// the same pmap instead of taking a queue slot.
-    pub actions_coalesced: u64,
-    /// Coalesces that happened with the target queue full — enqueues that
-    /// would have overflowed into a whole-TLB flush without merging.
-    pub queue_overflows_avoided: u64,
-    /// Shootdown IPIs re-sent by the initiator watchdog (a subset of
-    /// [`KernelStats::ipis_sent`] was healthy traffic; these were retries).
-    pub ipi_retries: u64,
-    /// Responders the watchdog gave up on after exhausting its retries
-    /// (each also files a [`WatchdogReport`]).
-    pub watchdog_gaveup: u64,
-    /// Responder drains that degraded to a whole-TLB flush because the
-    /// queue had overflowed or was poisoned.
-    pub degraded_flushes: u64,
-    /// Fail-stop responders the health monitor evicted from the active,
-    /// idle, and pmap in-use sets (each also files an
-    /// [`EvictionReport`](crate::EvictionReport)).
-    pub evictions: u64,
-    /// Revived processors that completed the fenced rejoin protocol and
-    /// re-entered the active set.
-    pub fenced_rejoins: u64,
-    /// Acknowledgements a responder abandoned because its health
-    /// generation advanced since the interrupt entered — a wrongly
-    /// evicted (slow-but-alive) processor's late ack, rejected by the
-    /// generation handshake instead of completing a quiescence round it
-    /// was already excused from.
-    pub late_acks_rejected: u64,
-    /// Evictions a live processor *detected on its own* (generation
-    /// mismatch on its next interrupt or acknowledgement) and answered by
-    /// running the fenced rejoin before touching another translation.
-    /// Each also counts a [`KernelStats::fenced_rejoins`] when the fence
-    /// completes.
-    pub self_fences: u64,
-    /// Operations the FailOp retry driver re-dispatched after an abort on
-    /// a dead lock holder ([`OpOutcome::dead_lock_holder`](crate::OpOutcome::dead_lock_holder)).
-    pub ops_retried: u64,
-    /// Operations the FailOp retry driver gave up on after exhausting its
-    /// bounded retries — the red flag a soak run must never raise.
-    pub retries_exhausted: u64,
-    /// Locks forcibly transferred away from fail-stop holders under
-    /// [`RecoveryPolicy::FenceAndSteal`](crate::RecoveryPolicy::FenceAndSteal).
-    pub locks_stolen: u64,
-    /// Multicast shootdown rounds published (fanout mode only).
-    pub multicast_rounds: u64,
-    /// Initiators whose operation merged into another initiator's open
-    /// round instead of serializing behind the pmap lock.
-    pub initiators_batched: u64,
-    /// Round targets excused mid-wait because they had left the active set
-    /// (concurrent initiators, processors going idle); each was handed a
-    /// fallback queue action instead.
-    pub round_excused: u64,
-    /// Shootdown IPIs whose target sat on a different node than the sender
-    /// (a subset of [`KernelStats::ipis_sent`]; zero on a flat topology).
-    pub ipis_remote: u64,
-    /// Pmap-lock and queue-lock references that crossed the interconnect
-    /// because the lock word's home node differed from the toucher's node.
-    pub remote_lock_refs: u64,
-    /// Pages rehomed between nodes by the migration workloads (the
-    /// balancing daemon and the storm generator both count here).
-    pub page_migrations: u64,
-    /// In-use processors the residency filter excluded from a shootdown's
-    /// IPI target set because their TLB could not hold a stale entry for
-    /// the affected range (each is an IPI the pre-filter kernel would have
-    /// sent; zero unless [`KernelConfig::residency`] is on).
-    pub ipis_filtered: u64,
-    /// Full pmap flushes satisfied by an ASID-generation bump instead of
-    /// a per-entry walk (zero unless [`KernelConfig::residency`] is on).
-    pub asid_recycles: u64,
-    /// Inactive→active transitions (responder reactivation, idle exit)
-    /// held back because a multicast round the processor was not party to
-    /// was still locked on a pmap it uses (see
-    /// [`KernelState::activation_blocked_by_round`]).
-    pub activation_stalls: u64,
-    /// Pmap attaches that found the lock re-taken between the spin check
-    /// and the attach step (interrupt-delay TOCTOU) and went back to
-    /// spinning instead of joining the user set mid-shootdown.
-    pub attach_rechecks: u64,
-    /// Critical sections abandoned because a steal-generation check found
-    /// the lock had been fenced away while the holder was fail-stopped: a
-    /// revived processor detected that fence-and-steal (or the FailOp
-    /// reclaimer) took its lock mid-section, so it dropped its stale claim
-    /// and restarted instead of releasing a lock the thief now holds.
-    pub robbed_restarts: u64,
+/// The one declaration of the kernel counters: a doc comment and a name
+/// each, in two groups. A new counter is declared here and nowhere else;
+/// every fault-campaign report enumerates [`KernelStats::hardening`].
+macro_rules! kernel_stats {
+    (
+        hardening { $($(#[$hm:meta])* $h:ident,)* }
+        others { $($(#[$om:meta])* $o:ident,)* }
+    ) => {
+        /// Cumulative kernel counters.
+        #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
+        pub struct KernelStats {
+            $($(#[$om])* pub $o: u64,)*
+            $($(#[$hm])* pub $h: u64,)*
+        }
+
+        impl KernelStats {
+            /// The recovery counters the hardened kernel adds to the
+            /// paper's, as `(name, value)` pairs in registry order.
+            pub fn hardening(&self) -> [(&'static str, u64); [$(stringify!($h)),*].len()] {
+                [$((stringify!($h), self.$h)),*]
+            }
+        }
+
+        impl std::ops::AddAssign for KernelStats {
+            fn add_assign(&mut self, rhs: KernelStats) {
+                $(self.$o += rhs.$o;)*
+                $(self.$h += rhs.$h;)*
+            }
+        }
+    };
+}
+
+kernel_stats! {
+    hardening {
+        /// Shootdown IPIs re-sent by the initiator watchdog (a subset of
+        /// [`KernelStats::ipis_sent`] was healthy traffic; these were retries).
+        ipi_retries,
+        /// Responders the watchdog gave up on after exhausting its retries
+        /// (each also files a [`WatchdogReport`]).
+        watchdog_gaveup,
+        /// Responder drains that degraded to a whole-TLB flush because the
+        /// queue had overflowed or was poisoned.
+        degraded_flushes,
+        /// Fail-stop responders the health monitor evicted from the active,
+        /// idle, and pmap in-use sets (each also files an
+        /// [`EvictionReport`](crate::EvictionReport)).
+        evictions,
+        /// Revived processors that completed the fenced rejoin protocol and
+        /// re-entered the active set.
+        fenced_rejoins,
+        /// Locks forcibly transferred away from fail-stop holders under
+        /// [`RecoveryPolicy::FenceAndSteal`](crate::RecoveryPolicy::FenceAndSteal).
+        locks_stolen,
+        /// Critical sections abandoned because a steal-generation check found
+        /// the lock had been fenced away while the holder was fail-stopped: a
+        /// revived processor detected that fence-and-steal (or the FailOp
+        /// reclaimer) took its lock mid-section, so it dropped its stale claim
+        /// and restarted instead of releasing a lock the thief now holds.
+        robbed_restarts,
+        /// Acknowledgements a responder abandoned because its health
+        /// generation advanced since the interrupt entered — a wrongly
+        /// evicted (slow-but-alive) processor's late ack, rejected by the
+        /// generation handshake instead of completing a quiescence round it
+        /// was already excused from.
+        late_acks_rejected,
+        /// Evictions a live processor *detected on its own* (generation
+        /// mismatch on its next interrupt or acknowledgement) and answered by
+        /// running the fenced rejoin before touching another translation.
+        /// Each also counts a [`KernelStats::fenced_rejoins`] when the fence
+        /// completes.
+        self_fences,
+        /// Operations the FailOp retry driver re-dispatched after an abort on
+        /// a dead lock holder ([`OpOutcome::dead_lock_holder`](crate::OpOutcome::dead_lock_holder)).
+        ops_retried,
+        /// Operations the FailOp retry driver gave up on after exhausting its
+        /// bounded retries — the red flag a soak run must never raise.
+        retries_exhausted,
+    }
+    others {
+        /// Pmap operations executed.
+        pmap_ops,
+        /// Shootdowns initiated on the kernel pmap.
+        shootdowns_kernel,
+        /// Shootdowns initiated on user pmaps.
+        shootdowns_user,
+        /// Operations where the lazy-evaluation check skipped the shootdown.
+        lazy_skips,
+        /// Page faults taken.
+        faults,
+        /// Unrecoverable faults (no valid VM mapping permits the access).
+        unrecoverable_faults,
+        /// Shootdown IPIs sent.
+        ipis_sent,
+        /// Pages evicted by the pageout daemon.
+        pageouts,
+        /// Dirty pages the pageout daemon wrote before evicting.
+        pageout_writes,
+        /// Consistency actions that merged into an already-queued action for
+        /// the same pmap instead of taking a queue slot.
+        actions_coalesced,
+        /// Coalesces that happened with the target queue full — enqueues that
+        /// would have overflowed into a whole-TLB flush without merging.
+        queue_overflows_avoided,
+        /// Multicast shootdown rounds published (fanout mode only).
+        multicast_rounds,
+        /// Initiators whose operation merged into another initiator's open
+        /// round instead of serializing behind the pmap lock.
+        initiators_batched,
+        /// Round targets excused mid-wait because they had left the active set
+        /// (concurrent initiators, processors going idle); each was handed a
+        /// fallback queue action instead.
+        round_excused,
+        /// Shootdown IPIs whose target sat on a different node than the sender
+        /// (a subset of [`KernelStats::ipis_sent`]; zero on a flat topology).
+        ipis_remote,
+        /// Pmap-lock and queue-lock references that crossed the interconnect
+        /// because the lock word's home node differed from the toucher's node.
+        remote_lock_refs,
+        /// Pages rehomed between nodes by the migration workloads (the
+        /// balancing daemon and the storm generator both count here).
+        page_migrations,
+        /// In-use processors the residency filter excluded from a shootdown's
+        /// IPI target set because their TLB could not hold a stale entry for
+        /// the affected range (each is an IPI the pre-filter kernel would have
+        /// sent; zero unless [`KernelConfig::residency`] is on).
+        ipis_filtered,
+        /// Full pmap flushes satisfied by an ASID-generation bump instead of
+        /// a per-entry walk (zero unless [`KernelConfig::residency`] is on).
+        asid_recycles,
+        /// Inactive→active transitions (responder reactivation, idle exit)
+        /// held back because a multicast round the processor was not party to
+        /// was still locked on a pmap it uses (see
+        /// [`KernelState::activation_blocked_by_round`]).
+        activation_stalls,
+        /// Pmap attaches that found the lock re-taken between the spin check
+        /// and the attach step (interrupt-delay TOCTOU) and went back to
+        /// spinning instead of joining the user set mid-shootdown.
+        attach_rechecks,
+    }
+}
+
+impl KernelStats {
+    /// Watchdog give-ups the health monitor did not absorb into an
+    /// eviction: a dead responder still wedging its initiators.
+    pub fn unrecovered(&self) -> u64 {
+        self.watchdog_gaveup.saturating_sub(self.evictions)
+    }
+
+    /// The hardening counters as space-separated `name=value` pairs, in
+    /// registry order: the line the stall report and the CLI print.
+    pub fn hardening_line(&self) -> String {
+        self.hardening()
+            .map(|(name, v)| format!("{name}={v}"))
+            .join(" ")
+    }
 }
 
 /// Per-node kernel counters, kept alongside the aggregate

@@ -84,6 +84,28 @@ if [ -n "$stray" ] || [ "$in_kernel" != "$in_reader" ]; then
     exit 1
 fi
 
+echo "==> one declaration of the hardening counters"
+# The hardening counters are declared once, in the KernelStats registry
+# (state.rs), and every report enumerates KernelStats::hardening. Other
+# non-test code may name a counter in a comment or a field access, but
+# not as a string literal or a `name=` format fragment. Each file is
+# scanned only up to its #[cfg(test)], so test goldens stay legal.
+HARDENING=$(awk '/^    hardening \{/,/^    \}/' crates/core/src/state.rs \
+    | grep -oE '^ +[a-z_]+,$' | tr -d ' ,' | paste -sd '|' -)
+if [ -z "$HARDENING" ]; then
+    echo "error: no hardening group found in crates/core/src/state.rs" >&2
+    exit 1
+fi
+spelled=$(find crates/*/src src -name '*.rs' ! -path crates/core/src/state.rs \
+    -exec awk '/#\[cfg\(test\)\]/ { nextfile } { print FILENAME ":" FNR ":" $0 }' {} + \
+    | grep -E "\\\\?\"($HARDENING)\\\\?\"|\\b($HARDENING)=([^=]|\$)" \
+    | grep -vE '^[^:]+:[0-9]+:[[:space:]]*//' || true)
+if [ -n "$spelled" ]; then
+    echo "error: a hardening counter is spelled outside the registry in state.rs:" >&2
+    echo "$spelled" >&2
+    exit 1
+fi
+
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets --quiet -- -D warnings
 

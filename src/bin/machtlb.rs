@@ -14,7 +14,7 @@ use machtlb::bench::{compare_reports, diff_reports, parse_report};
 use machtlb::core::{
     check_envelope, fuzz_json, parse_schedule, plan_catalog, run_chaos, run_fuzz, run_schedule,
     run_soak, schedule_json, shrink, soak_json, survival_json, ChaosConfig, FuzzConfig,
-    KernelConfig, SoakConfig, Strategy, Survival,
+    KernelConfig, SoakConfig, Strategy, Survival, MAX_SCHEDULE_CPUS,
 };
 use machtlb::pmap::{SHARD_GRANULE, VPN_SPAN};
 use machtlb::sim::{BusOp, CostModel, Dur, Time, Topology};
@@ -179,12 +179,34 @@ impl Args {
             n => Ok(n),
         }
     }
+
+    /// A machine size, refused above [`MAX_SCHEDULE_CPUS`]: the machine
+    /// is allocated before it runs, so a huge value would abort in the
+    /// allocator or run until killed.
+    fn machine_size(&self, name: &str, default: u64) -> Result<usize, String> {
+        match self.num(name, default)? {
+            n if n > MAX_SCHEDULE_CPUS as u64 => Err(format!(
+                "--{name}: at most {MAX_SCHEDULE_CPUS} processors, not {n}"
+            )),
+            n => Ok(n as usize),
+        }
+    }
+
+    /// An `on|off` flag; any other value is refused.
+    fn on_off(&self, name: &str, default: bool) -> Result<bool, String> {
+        match self.get(name) {
+            None => Ok(default),
+            Some("on") => Ok(true),
+            Some("off") => Ok(false),
+            Some(other) => Err(format!("--{name}: on or off, not {other}")),
+        }
+    }
 }
 
 /// The `--cpus` flag, refused below `min` so an undersized machine is a
 /// usage error rather than a panic deep inside a workload.
 fn cpus_flag(args: &Args, default: u64, min: usize, what: &str) -> Result<usize, String> {
-    let cpus = args.num("cpus", default)? as usize;
+    let cpus = args.machine_size("cpus", default)?;
     if cpus < min {
         return Err(format!(
             "{what} needs at least {min} processors, not {cpus}"
@@ -260,12 +282,7 @@ fn apply_delivery_flags(args: &Args, mut kconfig: KernelConfig) -> Result<Kernel
         return Err(format!("--shards: need 1 to {max_shards}, not {shards}"));
     }
     kconfig.pmap_shards = shards as usize;
-    kconfig.batch_initiators = match args.get("batch") {
-        None => kconfig.batch_initiators,
-        Some("on") => true,
-        Some("off") => false,
-        Some(other) => return Err(format!("--batch: on or off, not {other}")),
-    };
+    kconfig.batch_initiators = args.on_off("batch", kconfig.batch_initiators)?;
     Ok(kconfig)
 }
 
@@ -275,12 +292,7 @@ fn apply_delivery_flags(args: &Args, mut kconfig: KernelConfig) -> Result<Kernel
 /// stale translation, and tagged-TLB pmap retirement recycles the ASID
 /// generation instead of walking entries.
 fn apply_residency_flag(args: &Args, mut kconfig: KernelConfig) -> Result<KernelConfig, String> {
-    kconfig.residency = match args.get("residency") {
-        None => kconfig.residency,
-        Some("on") => true,
-        Some("off") => false,
-        Some(other) => return Err(format!("--residency: on or off, not {other}")),
-    };
+    kconfig.residency = args.on_off("residency", kconfig.residency)?;
     Ok(kconfig)
 }
 
@@ -470,11 +482,7 @@ fn cmd_app(args: &Args) -> Result<(), String> {
         .as_str();
     let cpus = cpus_flag(args, 16, app_min_cpus(name), name)?;
     let seed = args.num("seed", 1)?;
-    let lazy = match args.get("lazy").unwrap_or("on") {
-        "on" => true,
-        "off" => false,
-        other => return Err(format!("--lazy: on or off, not {other}")),
-    };
+    let lazy = args.on_off("lazy", true)?;
     let mut config = base_config(
         cpus,
         seed,
@@ -612,7 +620,7 @@ fn cmd_fig2(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_scaling(args: &Args) -> Result<(), String> {
-    let upto = args.num("upto", 128)? as usize;
+    let upto = args.machine_size("upto", 128)?;
     let base_kconfig =
         apply_residency_flag(args, apply_delivery_flags(args, KernelConfig::default())?)?;
     let mut n = 16usize;
@@ -798,11 +806,7 @@ fn cmd_trace(args: &Args) -> Result<(), String> {
 fn cmd_storm(args: &Args) -> Result<(), String> {
     let cpus = cpus_flag(args, 16, 1, "storm")?;
     let seed = args.num("seed", 1)?;
-    let cross = match args.get("cross").unwrap_or("off") {
-        "on" => true,
-        "off" => false,
-        other => return Err(format!("--cross: on or off, not {other}")),
-    };
+    let cross = args.on_off("cross", false)?;
     let storm = MigrationStormConfig {
         workers_per_node: args.num("workers", 2)? as usize,
         pages_per_worker: args.num("pages", 4)?,
@@ -1077,7 +1081,7 @@ fn parse_duration(v: &str) -> Result<std::time::Duration, String> {
 }
 
 fn cmd_soak(args: &Args) -> Result<(), String> {
-    let smoke = matches!(args.get("smoke"), Some("on"));
+    let smoke = args.on_off("smoke", false)?;
     let mut cpus = cpus_flag(args, 32, 4, "soak")?;
     let mut cycles = args.num("cycles", 5)?;
     let seed = args.num("seed", 7)?;
@@ -1095,7 +1099,7 @@ fn cmd_soak(args: &Args) -> Result<(), String> {
     }
     let mut cfg = SoakConfig::new(cpus, cycles, seed);
     cfg.rounds = rounds;
-    cfg.inject_exhaustion = matches!(args.get("inject-exhaustion"), Some("on"));
+    cfg.inject_exhaustion = args.on_off("inject-exhaustion", false)?;
     cfg.duration = duration;
     let span = match duration {
         Some(d) => format!("{d:?} of fault cycles"),
@@ -1132,17 +1136,7 @@ fn cmd_soak(args: &Args) -> Result<(), String> {
     }
     let table = t.to_string();
     println!("{table}");
-    println!(
-        "recovery: evictions={} fenced_rejoins={} self_fences={} late_acks_rejected={} \
-         ops_retried={} retries_exhausted={} locks_stolen={}",
-        o.evictions,
-        o.fenced_rejoins,
-        o.self_fences,
-        o.late_acks_rejected,
-        o.ops_retried,
-        o.retries_exhausted,
-        o.locks_stolen
-    );
+    println!("recovery: {}", o.stats.hardening_line());
     if let Some(path) = args.get("out") {
         std::fs::write(path, &table).map_err(|e| format!("write {path}: {e}"))?;
         println!("wrote {path}");
@@ -1158,7 +1152,7 @@ fn cmd_soak(args: &Args) -> Result<(), String> {
         return Err(format!(
             "soak failed: {}/{} cycles completed, {} violations, {} unrecovered \
              give-ups, {} exhausted retries",
-            o.completed_cycles, o.cycles, o.violations, o.unrecovered, o.retries_exhausted
+            o.completed_cycles, o.cycles, o.violations, o.unrecovered, o.stats.retries_exhausted
         ));
     }
     println!(
@@ -1170,12 +1164,12 @@ fn cmd_soak(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_fuzz(args: &Args) -> Result<(), String> {
-    let smoke = matches!(args.get("smoke"), Some("on"));
+    let smoke = args.on_off("smoke", false)?;
     let seed = args.num("seed", 1)?;
     let mut budget = args.count("budget", 200)?;
-    let mut cpus = args.num("cpus", 0)? as usize;
+    let mut cpus = args.machine_size("cpus", 0)?;
     let mut rounds = args.count("rounds", 3)?;
-    let do_shrink = !matches!(args.get("shrink"), Some("off"));
+    let do_shrink = args.on_off("shrink", true)?;
     let max_replays = args.num("max-replays", 500)?;
     if smoke {
         // The CI-budget preset: a handful of schedules on a small
@@ -1288,13 +1282,11 @@ fn cmd_replay(args: &Args) -> Result<(), String> {
     );
     let o = run_schedule(&s);
     println!(
-        "survival={} completed={} violations={} evictions={} fenced_rejoins={} \
-         activation_stalls={} steps={} end={:?}",
+        "survival={} completed={} violations={} {} activation_stalls={} steps={} end={:?}",
         o.survival.name(),
         o.completed,
         o.violations,
-        o.stats.evictions,
-        o.stats.fenced_rejoins,
+        o.stats.hardening_line(),
         o.stats.activation_stalls,
         o.steps,
         o.end
@@ -1314,6 +1306,64 @@ fn cmd_replay(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+/// The shared flag groups several subcommands take, space-separated.
+const DELIVERY: &str = "fanout shards batch";
+const RESIDENCY: &str = "residency";
+const TOPOLOGY: &str = "nodes node-cpus remote-latency";
+
+/// The flags each subcommand takes; `main` refuses any other, so a
+/// misspelt flag is an error instead of a silent default.
+const FLAGS: &[(&str, &[&str])] = &[
+    (
+        "tester",
+        &["children cpus seed strategy", DELIVERY, RESIDENCY, TOPOLOGY],
+    ),
+    ("app", &["cpus seed lazy", RESIDENCY]),
+    ("fig2", &["cpus max-k runs"]),
+    ("scaling", &["upto", DELIVERY, RESIDENCY, TOPOLOGY]),
+    (
+        "trace",
+        &[
+            "workload strategy cpus seed out",
+            DELIVERY,
+            RESIDENCY,
+            TOPOLOGY,
+        ],
+    ),
+    (
+        "storm",
+        &[
+            "cpus seed workers pages migrations cross",
+            RESIDENCY,
+            TOPOLOGY,
+        ],
+    ),
+    ("bench-check", &["baseline current tolerance"]),
+    ("chaos", &["cpus seeds rounds out json", TOPOLOGY]),
+    (
+        "soak",
+        &["cpus cycles duration seed rounds smoke inject-exhaustion out json"],
+    ),
+    (
+        "fuzz",
+        &["seed budget cpus rounds shrink max-replays smoke json repro"],
+    ),
+    ("replay", &["schedule"]),
+];
+
+/// Refuses a flag the subcommand `cmd` does not take.
+fn check_flags(cmd: &str, args: &Args) -> Result<(), String> {
+    let Some((_, groups)) = FLAGS.iter().find(|(c, _)| *c == cmd) else {
+        return Ok(());
+    };
+    for (flag, _) in &args.flags {
+        if !groups.iter().flat_map(|g| g.split(' ')).any(|f| f == flag) {
+            return Err(format!("{cmd} does not take --{flag}"));
+        }
+    }
+    Ok(())
+}
+
 fn main() -> ExitCode {
     let args = match Args::parse(std::env::args().skip(1)) {
         Ok(a) => a,
@@ -1322,24 +1372,25 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let result = match args.positional.first().map(String::as_str) {
-        Some("tester") => cmd_tester(&args),
-        Some("app") => cmd_app(&args),
-        Some("fig2") => cmd_fig2(&args),
-        Some("scaling") => cmd_scaling(&args),
-        Some("trace") => cmd_trace(&args),
-        Some("storm") => cmd_storm(&args),
-        Some("bench-check") => cmd_bench_check(&args),
-        Some("chaos") => cmd_chaos(&args),
-        Some("soak") => cmd_soak(&args),
-        Some("fuzz") => cmd_fuzz(&args),
-        Some("replay") => cmd_replay(&args),
-        Some("help") | None => {
+    let cmd = args.positional.first().map_or("help", String::as_str);
+    let result = check_flags(cmd, &args).and_then(|()| match cmd {
+        "tester" => cmd_tester(&args),
+        "app" => cmd_app(&args),
+        "fig2" => cmd_fig2(&args),
+        "scaling" => cmd_scaling(&args),
+        "trace" => cmd_trace(&args),
+        "storm" => cmd_storm(&args),
+        "bench-check" => cmd_bench_check(&args),
+        "chaos" => cmd_chaos(&args),
+        "soak" => cmd_soak(&args),
+        "fuzz" => cmd_fuzz(&args),
+        "replay" => cmd_replay(&args),
+        "help" => {
             println!("{USAGE}");
             Ok(())
         }
-        Some(other) => Err(format!("unknown command: {other}")),
-    };
+        other => Err(format!("unknown command: {other}")),
+    });
     match result {
         Ok(()) => ExitCode::SUCCESS,
         Err(e) => {

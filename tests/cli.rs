@@ -11,12 +11,13 @@ fn machtlb(args: &[&str]) -> Output {
         .expect("the machtlb binary runs")
 }
 
-fn assert_usage_error(args: &[&str]) {
+fn assert_usage_error(args: &[&str]) -> String {
     let out = machtlb(args);
-    let stderr = String::from_utf8_lossy(&out.stderr);
+    let stderr = String::from_utf8_lossy(&out.stderr).into_owned();
     assert_eq!(out.status.code(), Some(1), "{args:?}: {stderr}");
     assert!(stderr.contains("error:"), "{args:?}: {stderr}");
     assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    stderr
 }
 
 /// Every subcommand refuses a machine too small for its workload up
@@ -43,8 +44,9 @@ fn undersized_machines_are_usage_errors_not_panics() {
 
 /// Numeric flags are never truncated or allowed to exhaust memory: a
 /// child or sweep count past `u32` once ran as 1, a sweep wider than the
-/// machine panicked in the tester, and a huge shard count aborted in the
-/// allocator.
+/// machine panicked in the tester, a huge shard count or machine size
+/// aborted in the allocator, and `app mach --cpus 100000` ran until
+/// killed.
 #[test]
 fn out_of_range_numbers_are_usage_errors() {
     for args in [
@@ -53,8 +55,44 @@ fn out_of_range_numbers_are_usage_errors() {
         &["fig2", "--max-k", "16"],
         &["tester", "--shards", "100000000000"],
         &["tester", "--shards", "16385"],
+        &["tester", "--cpus", "5000000000"],
+        &["app", "mach", "--cpus", "100000"],
+        &["scaling", "--upto", "4097"],
+        &["fuzz", "--cpus", "5000000000"],
     ] {
         assert_usage_error(args);
+    }
+}
+
+/// Every on/off flag refuses any other value: `soak --smoke yes` once
+/// ran the full soak and `fuzz --shrink maybe` once shrank.
+#[test]
+fn on_off_flags_refuse_other_values() {
+    for args in [
+        &["tester", "--batch", "yes"][..],
+        &["tester", "--residency", "1"],
+        &["app", "mach", "--lazy", "no"],
+        &["storm", "--cross", "sideways"],
+        &["soak", "--smoke", "yes"],
+        &["soak", "--inject-exhaustion", "true"],
+        &["fuzz", "--smoke", "On"],
+        &["fuzz", "--shrink", "maybe"],
+    ] {
+        assert_usage_error(args);
+    }
+}
+
+/// A flag the subcommand does not take is refused instead of ignored:
+/// `chaos --seed 3` once ran the default seeds (the flag is `--seeds`),
+/// and `fig2 --cpu 4` once ran 16 processors.
+#[test]
+fn unknown_flags_are_usage_errors() {
+    for (args, flag) in [
+        (&["chaos", "--seed", "3"][..], "chaos does not take --seed"),
+        (&["fig2", "--cpu", "4"], "fig2 does not take --cpu"),
+    ] {
+        let stderr = assert_usage_error(args);
+        assert!(stderr.contains(flag), "{args:?}: {stderr}");
     }
 }
 

@@ -7,8 +7,8 @@
 use machtlb::core::{
     generate_schedule, is_red, offline_floor_us, parse_schedule, plan_catalog, revive_floor_us,
     run_chaos, run_fuzz, run_schedule, schedule_from_json, schedule_json, soak_cycle_schedule,
-    soak_exhaustion_schedule, survival_json, ChaosConfig, FaultSchedule, FuzzConfig, ScheduleEvent,
-    SoakConfig, SplitMix64,
+    soak_exhaustion_schedule, survival_json, ChaosConfig, FaultSchedule, FuzzConfig, KernelStats,
+    ScheduleEvent, SoakConfig, SplitMix64,
 };
 use machtlb::xpr::json::Json;
 use proptest::collection::vec as vec_of;
@@ -290,4 +290,60 @@ fn beyond_envelope_rows_replay_red_from_the_survival_json() {
         let s = schedule_from_json(row.field("schedule").expect("schedule")).expect("valid");
         assert!(is_red(&run_schedule(&s)), "{} replayed green", s.name);
     }
+}
+
+/// The counters a chaos artifact reports are the registry's hardening
+/// group: every survival row carries exactly those names, in registry
+/// order, with the run's values, and the stall report's `hardening:`
+/// line lists the same names in the same order.
+#[test]
+fn survival_rows_and_the_stall_report_enumerate_the_hardening_registry() {
+    const ROW: [&str; 10] = [
+        "plan",
+        "cpus",
+        "seed",
+        "tolerable",
+        "survival",
+        "completed",
+        "violations",
+        "steps",
+        "end_ns",
+        "schedule",
+    ];
+    let outcomes: Vec<_> = plan_catalog(4)
+        .into_iter()
+        .filter(|p| !p.tolerable)
+        .map(|p| run_chaos(&ChaosConfig::new(4, 3, Some(p))))
+        .collect();
+    let doc = Json::parse(&survival_json(&outcomes, &[])).expect("valid json");
+    let rows = doc.array_field("outcomes").expect("outcomes");
+    for (row, o) in rows.iter().zip(&outcomes) {
+        let Json::Obj(fields) = row else {
+            panic!("a row is an object: {row:?}")
+        };
+        let counters: Vec<(&str, u64)> = fields
+            .iter()
+            .filter(|(k, _)| !ROW.contains(&k.as_str()))
+            .map(|(k, v)| (k.as_str(), v.as_u64().expect("a count")))
+            .collect();
+        assert_eq!(counters, o.stats.hardening(), "{}", o.plan());
+    }
+    let report = outcomes
+        .iter()
+        .find_map(|o| o.report.as_ref())
+        .expect("an incomplete run files a stall report");
+    let line = report
+        .lines()
+        .find_map(|l| l.strip_prefix("hardening: "))
+        .expect("a hardening line");
+    let listed: Vec<&str> = line
+        .split(' ')
+        .map(|pair| pair.split_once('=').expect("name=value").0)
+        .collect();
+    let names: Vec<&str> = KernelStats::default()
+        .hardening()
+        .iter()
+        .map(|(name, _)| *name)
+        .collect();
+    assert_eq!(listed, names);
 }
