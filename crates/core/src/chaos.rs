@@ -698,6 +698,18 @@ impl Process<KernelState, ()> for LockGrabber {
 /// (and, when tracing, as flight-recorder marks), so chaos appears
 /// alongside the measurements it perturbed.
 pub fn run_chaos(cfg: &ChaosConfig) -> ChaosOutcome {
+    run_chaos_with(cfg, schedule_device_interrupts).0
+}
+
+/// Runs one chaos campaign like [`run_chaos`], but hands its background
+/// device activity to `background`, called as
+/// `background(machine, period, until)` where [`run_chaos`] calls
+/// [`schedule_device_interrupts`]; returns the finished machine too.
+/// Equivalence tests use it to substitute an oracle schedule.
+pub fn run_chaos_with(
+    cfg: &ChaosConfig,
+    background: impl FnOnce(&mut KernelMachine, Dur, Time),
+) -> (ChaosOutcome, KernelMachine) {
     let plan = cfg.plan.as_ref();
     let mut kconfig = cfg.kconfig.clone();
     if let Some(p) = plan {
@@ -812,7 +824,7 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosOutcome {
     for off in fault.iter().flat_map(|f| f.offlines.iter()) {
         m.spawn_at(off.cpu, off.revive_at, Box::new(FencedRejoinProcess::new()));
     }
-    schedule_device_interrupts(&mut m, Dur::millis(2), Time::from_micros(50_000));
+    background(&mut m, Dur::millis(2), Time::from_micros(50_000));
 
     if let Some(f) = fault {
         m.install_fault_plan(f);
@@ -856,7 +868,7 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosOutcome {
         Survival::Tolerated
     };
     let report = (!completed).then(|| stall_report(&m));
-    ChaosOutcome {
+    let outcome = ChaosOutcome {
         schedule: plan.map(|p| FaultSchedule {
             seed: cfg.seed,
             n_cpus: cfg.n_cpus,
@@ -879,7 +891,8 @@ pub fn run_chaos(cfg: &ChaosConfig) -> ChaosOutcome {
         steps: r.steps,
         end: r.frontier,
         report,
-    }
+    };
+    (outcome, m)
 }
 
 /// Records every injected fault into the xpr stream and, when the flight

@@ -3,8 +3,8 @@
 
 use machtlb_pmap::PmapId;
 use machtlb_sim::{
-    CostModel, CpuId, Ctx, Dur, IntrClass, IntrMask, Machine, MachineConfig, Process, Step, Time,
-    Vector,
+    CostModel, CpuId, Ctx, Dur, IntrClass, IntrMask, Machine, MachineConfig, Process, Step,
+    StreamSpacing, Time, Vector,
 };
 use machtlb_xpr::{TraceEdge, TracePhase};
 use rand::Rng;
@@ -109,19 +109,19 @@ impl<S: HasKernel> Process<S, ()> for TimerFlushHandler {
     }
 }
 
-/// Pre-schedules the timer-delayed technique's periodic flush on every
-/// processor until `until`, with per-processor phase offsets. Unlike
-/// device activity this is clocked, not jittered: the flush period is the
+/// Starts the timer-delayed technique's periodic flush on every
+/// processor, one clocked interrupt stream each, with per-processor phase
+/// offsets; the last flush lands at or before `until`. Unlike device
+/// activity this is clocked, not jittered: the flush period is the
 /// technique's staleness bound.
 pub fn schedule_timer_flushes<S, P>(m: &mut Machine<S, P>, period: Dur, until: Time) {
     assert!(!period.is_zero(), "flush period must be positive");
     let n = m.n_cpus();
+    let spacing = StreamSpacing::Every(period);
     for c in 0..n {
-        let mut t = Time::ZERO + period.mul_f64((c + 1) as f64 / (n + 1) as f64);
-        while t <= until {
-            m.schedule_interrupt(CpuId::new(c as u32), TIMER_FLUSH_VECTOR, t);
-            t += period;
-        }
+        let first = Time::ZERO + period.mul_f64((c + 1) as f64 / (n + 1) as f64);
+        let cpu = CpuId::new(c as u32);
+        m.schedule_interrupt_stream(cpu, TIMER_FLUSH_VECTOR, first, until, spacing);
     }
 }
 
@@ -195,22 +195,24 @@ impl<S: HasKernel> Process<S, ()> for NopHandler {
     }
 }
 
-/// Pre-schedules device interrupts on every processor until `until`, with
-/// the given mean period and full jitter (each gap is uniform in
-/// `(0, 2*period)`): device arrivals are bursty, not clocked, so they do
-/// not synchronize with the measured workloads.
+/// Starts device interrupts on every processor, one background stream
+/// each, until `until`, with the given mean period and full jitter (the
+/// first arrival is uniform in `(0, 2*period)`, each later gap in
+/// `(0.05, 1.95) * period`): device arrivals are bursty, not clocked, so
+/// they do not synchronize with the measured workloads.
 pub fn schedule_device_interrupts<S, P>(m: &mut Machine<S, P>, period: Dur, until: Time) {
     assert!(
         !period.is_zero(),
         "device interrupt period must be positive"
     );
-    let n = m.n_cpus();
-    for c in 0..n {
-        let mut t = Time::ZERO + period.mul_f64(m.rng_mut().gen_range(0.0..2.0));
-        while t <= until {
-            m.schedule_interrupt(CpuId::new(c as u32), DEVICE_VECTOR, t);
-            t += period.mul_f64(m.rng_mut().gen_range(0.05..1.95));
-        }
+    let spacing = StreamSpacing::Jittered {
+        mean: period,
+        lo: 0.05,
+        hi: 1.95,
+    };
+    for c in 0..m.n_cpus() {
+        let first = Time::ZERO + period.mul_f64(m.rng_mut().gen_range(0.0..2.0));
+        m.schedule_interrupt_stream(CpuId::new(c as u32), DEVICE_VECTOR, first, until, spacing);
     }
 }
 

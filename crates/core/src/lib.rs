@@ -77,8 +77,8 @@ mod strategy;
 
 pub use access::{try_access, AccessOutcome, MemOp};
 pub use chaos::{
-    chaos_kconfig, chaos_matrix, check_envelope, plan_catalog, run_chaos, survival_json,
-    ChaosConfig, ChaosOutcome, Survival,
+    chaos_kconfig, chaos_matrix, check_envelope, plan_catalog, run_chaos, run_chaos_with,
+    survival_json, ChaosConfig, ChaosOutcome, Survival,
 };
 pub use checker::{Checker, Violation};
 pub use diagnose::stall_report;

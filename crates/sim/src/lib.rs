@@ -69,7 +69,7 @@ pub use fault::{
 };
 pub use intr::{FanoutTree, IntrClass, IntrMask, Vector};
 pub use lock::SpinLock;
-pub use machine::{Machine, MachineConfig, MulticastStats, RunReport, RunStatus};
+pub use machine::{Machine, MachineConfig, MulticastStats, RunReport, RunStatus, StreamSpacing};
 pub use process::{Ctx, Process, Step};
 pub use time::{Dur, Time};
 pub use topology::{BusFabric, FabricStats, Topology};

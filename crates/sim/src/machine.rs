@@ -7,7 +7,7 @@ use std::fmt;
 use std::rc::Rc;
 
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 
 use crate::bus::{BusOp, BusStats};
 use crate::cost::CostModel;
@@ -92,6 +92,10 @@ enum QueuedKind<S, P> {
         group: Rc<MulticastGroup>,
         slot: usize,
     },
+    /// The next arrival of a background interrupt stream (an index into
+    /// `Machine::streams`): latches like an interrupt and queues the
+    /// stream's following arrival.
+    Stream(usize),
     Spawn(Box<dyn Process<S, P>>),
     /// A fail-stop halt of the target processor (from the fault plan).
     Halt,
@@ -116,6 +120,47 @@ pub struct MulticastStats {
     pub forwards: u64,
     /// Hops that landed on a halted relay, pruning its whole subtree.
     pub pruned: u64,
+}
+
+/// How a background interrupt stream spaces its arrivals (see
+/// [`Machine::schedule_interrupt_stream`]).
+#[derive(Copy, Clone, Debug, PartialEq)]
+pub enum StreamSpacing {
+    /// Clocked: every gap is exactly this long. Draws no randomness.
+    Every(Dur),
+    /// Jittered: each gap is `mean` scaled by a factor drawn uniformly
+    /// from `lo..hi` with the machine's random number generator.
+    Jittered {
+        /// The unscaled gap.
+        mean: Dur,
+        /// Smallest scale factor (inclusive).
+        lo: f64,
+        /// Largest scale factor (exclusive).
+        hi: f64,
+    },
+}
+
+impl StreamSpacing {
+    fn gap(self, rng: &mut SmallRng) -> Dur {
+        match self {
+            StreamSpacing::Every(period) => period,
+            StreamSpacing::Jittered { mean, lo, hi } => mean.mul_f64(rng.gen_range(lo..hi)),
+        }
+    }
+}
+
+/// A background interrupt stream with its arrivals not yet queued. At
+/// most one arrival of a stream sits in the delivery heap at a time.
+struct IntrStream {
+    target: CpuId,
+    vector: Vector,
+    spacing: StreamSpacing,
+    /// Replays the gap draws setup already made on the machine RNG.
+    rng: SmallRng,
+    /// The heap sequence number reserved for the next unqueued arrival.
+    next_seq: u64,
+    /// Arrivals left after the queued one.
+    remaining: u64,
 }
 
 struct QueuedDelivery<S, P> {
@@ -186,6 +231,7 @@ pub struct Machine<S, P> {
     rng: SmallRng,
     handlers: BTreeMap<Vector, HandlerEntry<S, P>>,
     deliveries: BinaryHeap<Reverse<QueuedDelivery<S, P>>>,
+    streams: Vec<IntrStream>,
     faults: Option<FaultInjector>,
     /// Per-processor fail-stop flags: a halted processor is never stepped,
     /// woken, or notified until (and unless) a revive delivery clears it.
@@ -229,6 +275,7 @@ impl<S, P> Machine<S, P> {
             rng: SmallRng::seed_from_u64(config.seed),
             handlers: BTreeMap::new(),
             deliveries: BinaryHeap::new(),
+            streams: Vec::new(),
             faults: None,
             halted: vec![false; config.n_cpus],
             multicast_stats: MulticastStats::default(),
@@ -320,6 +367,93 @@ impl<S, P> Machine<S, P> {
             "schedule_interrupt: bad target {target}"
         );
         self.push_delivery(at, target, QueuedKind::Interrupt(vector));
+    }
+
+    /// Latches `vector` on `target` at `first` and then once per gap of
+    /// `spacing` while the arrival instant stays at or before `until` —
+    /// a background stream such as a device or a clocked timer.
+    ///
+    /// The stream is generated lazily: only its next arrival is queued.
+    /// The run is nevertheless bit-identical to calling
+    /// [`Machine::schedule_interrupt`] for every arrival up front. Setup
+    /// draws every jittered gap from the machine RNG once (counting the
+    /// arrivals, and leaving the RNG exactly where the up-front loop
+    /// would), and reserves one delivery sequence number per arrival, so
+    /// same-instant ties with other deliveries break as they would have.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `target` is out of range or a clocked period is zero.
+    pub fn schedule_interrupt_stream(
+        &mut self,
+        target: CpuId,
+        vector: Vector,
+        first: Time,
+        until: Time,
+        spacing: StreamSpacing,
+    ) {
+        assert!(
+            target.index() < self.cpus.len(),
+            "schedule_interrupt_stream: bad target {target}"
+        );
+        if let StreamSpacing::Every(period) = spacing {
+            assert!(!period.is_zero(), "stream period must be positive");
+        }
+        let rng = self.rng.clone();
+        let arrivals = match spacing {
+            _ if first > until => 0,
+            StreamSpacing::Every(period) => {
+                until.duration_since(first).as_nanos() / period.as_nanos() + 1
+            }
+            StreamSpacing::Jittered { .. } => {
+                let (mut t, mut n) = (first, 0);
+                while t <= until {
+                    n += 1;
+                    t += spacing.gap(&mut self.rng);
+                }
+                n
+            }
+        };
+        if arrivals == 0 {
+            return;
+        }
+        let seq = self.seq;
+        self.seq += arrivals;
+        self.streams.push(IntrStream {
+            target,
+            vector,
+            spacing,
+            rng,
+            next_seq: seq + 1,
+            remaining: arrivals - 1,
+        });
+        let kind = QueuedKind::Stream(self.streams.len() - 1);
+        self.deliveries.push(Reverse(QueuedDelivery {
+            at: first,
+            seq,
+            target,
+            kind,
+        }));
+    }
+
+    /// Queues the arrival after the one of stream `s` that landed at `at`,
+    /// under the sequence number setup reserved for it, and returns the
+    /// stream's vector.
+    fn advance_stream(&mut self, s: usize, at: Time) -> Vector {
+        let stream = &mut self.streams[s];
+        if stream.remaining > 0 {
+            stream.remaining -= 1;
+            let seq = stream.next_seq;
+            stream.next_seq += 1;
+            let next = QueuedDelivery {
+                at: at + stream.spacing.gap(&mut stream.rng),
+                seq,
+                target: stream.target,
+                kind: QueuedKind::Stream(s),
+            };
+            self.deliveries.push(Reverse(next));
+        }
+        self.streams[s].vector
     }
 
     /// Enqueues an IPI delivery, routed through the fault injector when one
@@ -434,34 +568,44 @@ impl<S, P> Machine<S, P> {
         next
     }
 
-    fn apply_due_deliveries(&mut self, t: Time) {
-        while let Some(Reverse(head)) = self.deliveries.peek() {
-            if head.at > t {
-                break;
+    /// Pops the earliest delivery due at or before `t`. A multicast hop
+    /// or stream arrival comes back as the interrupt it latches, after
+    /// queuing what follows it: the hop's children (a halted relay
+    /// forwards nothing, pruning its subtree) or the stream's next
+    /// arrival (queued whether or not the target is halted).
+    fn pop_due(&mut self, t: Time) -> Option<QueuedDelivery<S, P>> {
+        if self.deliveries.peek()?.0.at > t {
+            return None;
+        }
+        let Reverse(mut d) = self.deliveries.pop().expect("peeked delivery vanished");
+        d.kind = match d.kind {
+            QueuedKind::Multicast {
+                vector,
+                group,
+                slot,
+            } => {
+                self.forward_multicast(&group, slot, vector, d.at, d.target);
+                QueuedKind::Interrupt(vector)
             }
-            let Reverse(d) = self.deliveries.pop().expect("peeked delivery vanished");
+            QueuedKind::Stream(s) => QueuedKind::Interrupt(self.advance_stream(s, d.at)),
+            k => k,
+        };
+        Some(d)
+    }
+
+    fn apply_due_deliveries(&mut self, t: Time) {
+        while let Some(d) = self.pop_due(t) {
             let QueuedDelivery {
                 at, target, kind, ..
             } = d;
-            // A multicast hop forwards to its children before latching; a
-            // halted relay forwards nothing, pruning its subtree.
-            let kind = match kind {
-                QueuedKind::Multicast {
-                    vector,
-                    group,
-                    slot,
-                } => {
-                    self.forward_multicast(&group, slot, vector, at, target);
-                    QueuedKind::Interrupt(vector)
-                }
-                k => k,
-            };
             let cpu = &mut self.cpus[target.index()];
             match kind {
                 QueuedKind::Interrupt(v) => {
                     cpu.pending.insert(v);
                 }
-                QueuedKind::Multicast { .. } => unreachable!("multicast hop latches as interrupt"),
+                QueuedKind::Multicast { .. } | QueuedKind::Stream(_) => {
+                    unreachable!("pop_due turns hops and stream arrivals into interrupts")
+                }
                 QueuedKind::Spawn(proc) => {
                     cpu.stack.push(Frame {
                         proc,
@@ -975,7 +1119,8 @@ impl<S, P> Machine<S, P> {
 
     /// The interrupts queued for delivery but not yet latched, as
     /// `(delivery instant, target, vector)` triples sorted by instant —
-    /// the "which IPIs are in flight" line of a stall report.
+    /// the "which IPIs are in flight" line of a stall report. A
+    /// background stream contributes only its next arrival.
     pub fn pending_interrupts(&self) -> Vec<(Time, CpuId, Vector)> {
         let mut out: Vec<(Time, CpuId, Vector)> = self
             .deliveries
@@ -983,6 +1128,7 @@ impl<S, P> Machine<S, P> {
             .filter_map(|Reverse(d)| match d.kind {
                 QueuedKind::Interrupt(v) => Some((d.at, d.target, v)),
                 QueuedKind::Multicast { vector, .. } => Some((d.at, d.target, vector)),
+                QueuedKind::Stream(s) => Some((d.at, d.target, self.streams[s].vector)),
                 QueuedKind::Spawn(_) | QueuedKind::Halt | QueuedKind::Revive => None,
             })
             .collect();
@@ -1063,5 +1209,111 @@ impl<S: fmt::Debug, P: fmt::Debug> fmt::Debug for Machine<S, P> {
             .field("total_steps", &self.total_steps)
             .field("pending_deliveries", &self.deliveries.len())
             .finish_non_exhaustive()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::fault::{Halt, Offline};
+    use crate::process::Step;
+
+    /// Pops every queued delivery, naming each as `(instant, seq, what)`.
+    fn drain(m: &mut Machine<(), ()>) -> Vec<(Time, u64, String)> {
+        std::iter::from_fn(|| m.pop_due(Time::MAX))
+            .map(|d| {
+                let what = match d.kind {
+                    QueuedKind::Interrupt(v) => format!("{v}"),
+                    QueuedKind::Halt => "halt".to_string(),
+                    _ => "other".to_string(),
+                };
+                (d.at, d.seq, what)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn stream_arrivals_pop_in_eager_order_on_same_instant_ties() {
+        let (cpu, tick, other) = (CpuId::new(0), Vector::new(3), Vector::new(4));
+        let us = Time::from_micros;
+        // Arrivals at 1..=5 us; the third ties with a one-off interrupt
+        // and a halt queued after the stream was started.
+        let build = |lazy: bool| {
+            let mut m = Machine::new(MachineConfig::multimax16(1), (), |_| ());
+            if lazy {
+                m.schedule_interrupt_stream(
+                    cpu,
+                    tick,
+                    us(1),
+                    us(5),
+                    StreamSpacing::Every(Dur::micros(1)),
+                );
+            } else {
+                for t in 1..=5 {
+                    m.schedule_interrupt(cpu, tick, us(t));
+                }
+            }
+            m.schedule_interrupt(cpu, other, us(3));
+            m.install_fault_plan(FaultPlan {
+                halts: vec![Halt { cpu, at: us(3) }],
+                ..FaultPlan::none(other)
+            });
+            m
+        };
+        let (mut lazy, mut eager) = (build(true), build(false));
+        assert_eq!(lazy.pending_interrupts().len(), 2, "one queued arrival");
+        let order = drain(&mut lazy);
+        assert_eq!(order, drain(&mut eager));
+        let at3: Vec<&str> = order
+            .iter()
+            .filter(|(at, ..)| *at == us(3))
+            .map(|(_, _, what)| what.as_str())
+            .collect();
+        assert_eq!(at3, [format!("{tick}"), format!("{other}"), "halt".into()]);
+    }
+
+    /// Logs each dispatch as `(cpu, instant)`.
+    #[derive(Debug)]
+    struct Note;
+    impl Process<Vec<(CpuId, Time)>, ()> for Note {
+        fn step(&mut self, ctx: &mut Ctx<'_, Vec<(CpuId, Time)>, ()>) -> Step {
+            ctx.shared.push((ctx.cpu_id, ctx.now));
+            Step::Done(Dur::micros(1))
+        }
+    }
+
+    #[test]
+    fn stream_keeps_arriving_across_an_offline_window() {
+        let (cpu, tick) = (CpuId::new(1), Vector::new(3));
+        let us = Time::from_micros;
+        let run = |lazy: bool| {
+            let mut m = Machine::new(MachineConfig::multimax16(1), Vec::new(), |_| ());
+            m.register_handler(tick, IntrClass::Device, |_, _, _| Box::new(Note));
+            if lazy {
+                let spacing = StreamSpacing::Every(Dur::micros(50));
+                m.schedule_interrupt_stream(cpu, tick, us(50), us(1_000), spacing);
+            } else {
+                for t in 1..=20 {
+                    m.schedule_interrupt(cpu, tick, us(50 * t));
+                }
+            }
+            // Arrivals land on the dead processor from 120 to 420 us.
+            m.install_fault_plan(FaultPlan {
+                offlines: vec![Offline {
+                    cpu,
+                    at: us(120),
+                    revive_at: us(420),
+                }],
+                ..FaultPlan::none(tick)
+            });
+            m.run(us(2_000));
+            m.into_shared()
+        };
+        let dispatched = run(true);
+        assert_eq!(dispatched, run(false));
+        assert!(
+            dispatched.iter().any(|&(_, t)| t > us(500)),
+            "the stream must go on after the revival: {dispatched:?}"
+        );
     }
 }

@@ -80,9 +80,9 @@ pub fn build_workload_machine(config: &RunConfig, app: AppShared) -> WlMachine {
 
 /// Runs the machine in bounded increments until `done` reports the
 /// workload complete, the machine quiesces, or `limit` is reached. This
-/// keeps pre-scheduled background interrupts (device activity, timer
-/// flushes) from ticking the machine — and polluting its statistics —
-/// long after the workload finished.
+/// keeps background interrupt streams (device activity, timer flushes),
+/// which run to the configured limit, from ticking the machine — and
+/// polluting its statistics — long after the workload finished.
 pub fn run_until_done(
     m: &mut WlMachine,
     limit: Time,

@@ -57,6 +57,12 @@
 #                        compile it: build it, lint it with warnings as
 #                        errors, and run its tests, since it drives the
 #                        fault API — generate_schedule, compile, run_chaos)
+#  11. benchmark smoke  (run BENCHMARK.json's command on every workload
+#                        for its fixed passes only: --workload all --seed 1
+#                        --seconds 0, results in target/benchmark-smoke.
+#                        A workload that fails or panics exits nonzero and
+#                        fails the gate, so a change cannot reach the
+#                        benchmark unrun; about a minute on two cores)
 #
 # Usage: scripts/check.sh
 set -eu
@@ -167,5 +173,9 @@ BENCH_PKG=examples/benchmark/Cargo.toml
 cargo build --release --quiet --manifest-path "$BENCH_PKG"
 cargo clippy --all-targets --quiet --manifest-path "$BENCH_PKG" -- -D warnings
 cargo test --release --quiet --manifest-path "$BENCH_PKG"
+
+echo "==> benchmark smoke (every workload's fixed passes)"
+cargo run --release --quiet --offline --manifest-path "$BENCH_PKG" -- \
+    --workload all --seed 1 --seconds 0 --out target/benchmark-smoke
 
 echo "==> all checks passed"

@@ -7,8 +7,8 @@
 //! The calibration runs with device interrupts off. An earlier version
 //! kept the 20 ms-period device activity on and took the median over
 //! three seeds to discard outliers; the root cause of those outliers is
-//! that `schedule_device_interrupts` pre-schedules jittered ISRs (3% of
-//! them with 80–250 µs bodies) that run with shootdown IPIs blocked, so
+//! that `schedule_device_interrupts` starts streams of jittered ISRs (3%
+//! of them with 80–250 µs bodies) that run with shootdown IPIs blocked, so
 //! whether one lands inside the single measured shootdown window is a
 //! seed lottery — a responder that takes the IPI behind a long ISR
 //! inflates the sample by the ISR's remaining body, several hundred µs.
