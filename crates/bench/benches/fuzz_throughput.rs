@@ -19,7 +19,7 @@
 //! The full run fuzzes the 32/48/64 acceptance band.
 
 use machtlb_bench::{BenchMetric, BenchReport};
-use machtlb_core::{run_fuzz, FuzzConfig};
+use machtlb_core::{check_envelope, fuzz_schedules, run_campaign, Coverage, FuzzConfig};
 use machtlb_xpr::TextTable;
 
 fn main() {
@@ -53,20 +53,21 @@ fn main() {
             rounds: 2,
         };
         let started = std::time::Instant::now();
-        let r = run_fuzz(&cfg);
+        let outcomes = run_campaign(fuzz_schedules(&cfg));
         let host = started.elapsed();
-        assert_eq!(
-            r.reds, 0,
-            "a tolerable-envelope campaign must be green: {:?}",
-            r.first_red
+        let failures = check_envelope(&outcomes);
+        assert!(
+            failures.is_empty(),
+            "a tolerable-envelope campaign must be green: {failures:?}"
         );
-        let c = &r.coverage;
+        let c = &Coverage::of(&outcomes);
         assert!(c.events > 0, "the generator stopped generating: {c:?}");
         assert!(
             c.wrongful_stalls + c.rejoiner_victims > 0,
             "no recovery-path coverage at {label}: {c:?}"
         );
-        let sim_us: u64 = r.runs.iter().map(|run| run.sim_us).sum();
+        // Truncated per run to whole microseconds, as the baseline was.
+        let sim_us: u64 = outcomes.iter().map(|o| o.end.as_micros_f64() as u64).sum();
         let per_sec = budget as f64 / host.as_secs_f64().max(1e-9);
         t.add_row(vec![
             if n_cpus == 0 {

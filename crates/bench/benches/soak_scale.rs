@@ -18,7 +18,7 @@
 //! run sweeps the whole 32–128 acceptance band.
 
 use machtlb_bench::{BenchMetric, BenchReport};
-use machtlb_core::{run_soak, SoakConfig};
+use machtlb_core::{check_envelope, run_campaign, soak_schedules, CampaignTotals, SoakConfig};
 use machtlb_xpr::TextTable;
 
 fn main() {
@@ -42,20 +42,22 @@ fn main() {
 
     let sizes: &[usize] = if smoke { &[32] } else { &[32, 64, 128] };
     for &n in sizes {
-        let o = run_soak(&SoakConfig::new(n, 5, 7));
+        let outcomes = run_campaign(soak_schedules(&SoakConfig::new(n, 5, 7)));
+        let failures = check_envelope(&outcomes);
         assert!(
-            o.survived,
-            "soak at {n} processors must survive a full rotation: {o:?}"
+            failures.is_empty(),
+            "soak at {n} processors must survive a full rotation: {failures:?}"
         );
+        let o = CampaignTotals::of(&outcomes);
         assert!(o.stats.evictions >= 4, "the halt shapes must evict: {o:?}");
         assert!(
             o.stats.ops_retried >= 1,
             "the failop shape must retry: {o:?}"
         );
-        let sim_us: f64 = o.log.iter().map(|c| c.end.as_micros_f64()).sum();
+        let sim_us: f64 = outcomes.iter().map(|c| c.end.as_micros_f64()).sum();
         t.add_row(vec![
             n.to_string(),
-            o.cycles.to_string(),
+            outcomes.len().to_string(),
             o.ops.to_string(),
             o.stats.evictions.to_string(),
             o.stats.fenced_rejoins.to_string(),

@@ -30,19 +30,26 @@
 //! clocks, statistics, and verdict. A `None` plan and the fault-free
 //! `none` schedule are likewise bit-identical, proving the injection
 //! hooks cost nothing when quiet.
+//!
+//! A campaign — the catalog ([`chaos_schedules`]), the soak rotation,
+//! or a fuzz run — is a list of schedules run by
+//! [`run_campaign`](crate::run_campaign), judged by [`check_envelope`],
+//! and written by [`campaign_json`].
 
 use std::fmt::Write as _;
 
 use machtlb_pmap::{PageRange, Pfn, PmapId, Prot, Vaddr, Vpn};
 use machtlb_sim::{
     BusStats, CostModel, CpuId, Ctx, Dur, FaultRecord, FaultStats, Process, RunStatus, Step, Time,
+    Topology,
 };
 use machtlb_xpr::json::escape;
 use machtlb_xpr::{ShootdownEvent, TraceEdge, TracePhase};
 
 use crate::access::{try_access, AccessOutcome, MemOp};
 use crate::diagnose::stall_report;
-use crate::health::{FencedRejoinProcess, RecoveryPolicy};
+use crate::fuzz::Coverage;
+use crate::health::FencedRejoinProcess;
 use crate::kernel::{
     build_kernel_machine, schedule_device_interrupts, KernelMachine, SwitchUserPmapProcess,
 };
@@ -97,8 +104,8 @@ impl Survival {
 /// [`FailOpDriver`](crate::FailOpDriver).
 ///
 /// Each entry is a named [`FaultSchedule`] for this machine size with the
-/// default seed and rounds; [`ChaosConfig`] supplies the seed and rounds
-/// it runs with.
+/// default seed, rounds and flat topology; [`chaos_schedules`] stamps in
+/// the ones a campaign runs with.
 ///
 /// The fail-stop timing: the workload's sentinel lands between 5 and
 /// 10 ms, so a halt at 2 ms reliably strikes mid-run; pairing it with an
@@ -319,8 +326,11 @@ pub fn chaos_kconfig() -> KernelConfig {
 /// bit-identical [`ChaosOutcome`].
 ///
 /// The machine (size, seed, rounds, kernel configuration, bounds) comes
-/// from the config; the schedule contributes its faults, sabotage flags,
-/// and envelope.
+/// from the config; the schedule contributes its faults, its workload
+/// shape, and its envelope. [`FaultSchedule::compile`] derives the whole
+/// config from a schedule, kernel sabotage included, and is how every
+/// campaign builds one; tests may adjust the result (a disabled health
+/// monitor, a different strategy).
 #[derive(Clone, Debug)]
 pub struct ChaosConfig {
     /// Processors in the machine (>= 3).
@@ -340,42 +350,13 @@ pub struct ChaosConfig {
     pub max_steps: u64,
 }
 
-impl ChaosConfig {
-    /// A standard config: 3 rounds, 200 ms / 5 M-step bounds.
-    pub fn new(n_cpus: usize, seed: u64, plan: Option<FaultSchedule>) -> ChaosConfig {
-        ChaosConfig {
-            n_cpus,
-            seed,
-            kconfig: chaos_kconfig(),
-            plan,
-            rounds: 3,
-            limit: Time::from_micros(200_000),
-            max_steps: 5_000_000,
-        }
-    }
-
-    /// The standard config with both bounds scaled to the machine — what
-    /// `machtlb chaos` and the soak harness run. Bus serialization
-    /// stretches campaign time roughly linearly in the processor count (a
-    /// 128-processor halt cycle quiesces around 270 ms), so the bounds
-    /// are 5 M + 500 k·n steps and 200 ms + 4 ms·n.
-    pub fn scaled(n_cpus: usize, seed: u64, plan: Option<FaultSchedule>) -> ChaosConfig {
-        let n = n_cpus as u64;
-        ChaosConfig {
-            max_steps: 5_000_000 + n * 500_000,
-            limit: Time::from_micros(200_000 + n * 4_000),
-            ..ChaosConfig::new(n_cpus, seed, plan)
-        }
-    }
-}
-
 /// Everything a chaos run produced, for tables and the determinism tests.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ChaosOutcome {
-    /// The campaign as it ran — the config's schedule with the machine
-    /// seed, size, rounds, fanout, and node count of the run — so any row
-    /// can be written out and replayed with `machtlb replay`. `None` for
-    /// a bare run.
+    /// The config's schedule (`None` for a bare run). Under
+    /// [`FaultSchedule::compile`] the config is derived from it, so any
+    /// campaign row can be written out and replayed with
+    /// `machtlb replay`.
     pub schedule: Option<FaultSchedule>,
     /// Processors in the machine.
     pub n_cpus: usize,
@@ -415,6 +396,13 @@ impl ChaosOutcome {
     /// (a bare run always is).
     pub fn tolerable(&self) -> bool {
         self.schedule.as_ref().is_none_or(|s| s.tolerable)
+    }
+
+    /// Whether the run landed on the wrong side of its envelope: a
+    /// tolerable schedule caught fatal, or a beyond-envelope schedule
+    /// that was not caught.
+    pub fn off_envelope(&self) -> bool {
+        self.tolerable() == (self.survival == Survival::DetectedFatal)
     }
 }
 
@@ -711,20 +699,12 @@ pub fn run_chaos_with(
     background: impl FnOnce(&mut KernelMachine, Dur, Time),
 ) -> (ChaosOutcome, KernelMachine) {
     let plan = cfg.plan.as_ref();
-    let mut kconfig = cfg.kconfig.clone();
-    if let Some(p) = plan {
-        kconfig.watchdog.enabled = p.watchdog;
-        kconfig.health.fencing = p.fencing;
-        kconfig.health.policy = if p.failop {
-            RecoveryPolicy::FailOp
-        } else {
-            RecoveryPolicy::FenceAndSteal
-        };
-        if let Some(cap) = p.queue_capacity {
-            kconfig.action_queue_capacity = cap;
-        }
-    }
-    let mut m = build_kernel_machine(cfg.n_cpus, cfg.seed, CostModel::multimax(), kconfig);
+    let mut m = build_kernel_machine(
+        cfg.n_cpus,
+        cfg.seed,
+        CostModel::multimax(),
+        cfg.kconfig.clone(),
+    );
 
     let vpn_a = Vpn::new(0x40);
     let vpn_b = Vpn::new(0x48); // non-adjacent: the queue cannot coalesce
@@ -869,14 +849,7 @@ pub fn run_chaos_with(
     };
     let report = (!completed).then(|| stall_report(&m));
     let outcome = ChaosOutcome {
-        schedule: plan.map(|p| FaultSchedule {
-            seed: cfg.seed,
-            n_cpus: cfg.n_cpus,
-            rounds: cfg.rounds,
-            nodes: cfg.kconfig.topology.map_or(1, |t| t.nodes()),
-            fanout: cfg.kconfig.fanout,
-            ..p.clone()
-        }),
+        schedule: plan.cloned(),
         n_cpus: cfg.n_cpus,
         seed: cfg.seed,
         survival,
@@ -923,61 +896,134 @@ fn stamp_faults(m: &mut KernelMachine, log: &[FaultRecord]) {
     }
 }
 
-/// Runs the whole [`plan_catalog`] across the given seeds.
-pub fn chaos_matrix(n_cpus: usize, seeds: &[u64]) -> Vec<ChaosOutcome> {
+/// The chaos preset: the whole [`plan_catalog`] across `seeds`
+/// (plan-major), with each run's seed, `rounds` and `topology` stamped
+/// into its schedule.
+pub fn chaos_schedules(
+    n_cpus: usize,
+    seeds: &[u64],
+    rounds: u64,
+    topology: Option<Topology>,
+) -> Vec<FaultSchedule> {
     let mut out = Vec::new();
     for plan in plan_catalog(n_cpus) {
         for &seed in seeds {
-            out.push(run_chaos(&ChaosConfig::new(
-                n_cpus,
-                seed,
-                Some(plan.clone()),
-            )));
+            out.push(
+                FaultSchedule {
+                    seed,
+                    rounds,
+                    ..plan.clone()
+                }
+                .with_topology(topology),
+            );
         }
     }
     out
 }
 
-/// The two-sided envelope check: returns one message per outcome that
-/// landed on the wrong side — a tolerable plan that was caught fatal, or
-/// a beyond-envelope plan that was *not* caught (the silent-pass failure
-/// mode). Empty means the matrix is green.
+/// The two-sided envelope check, the one verdict of every campaign:
+/// returns one message per outcome that landed on the wrong side — a
+/// tolerable plan that was caught fatal, or a beyond-envelope plan that
+/// was *not* caught (the silent-pass failure mode). Empty means the
+/// campaign is green.
 pub fn check_envelope(outcomes: &[ChaosOutcome]) -> Vec<String> {
-    let mut bad = Vec::new();
-    for o in outcomes {
-        if o.tolerable() && o.survival == Survival::DetectedFatal {
-            bad.push(format!(
-                "plan {} seed {}: inside the envelope but detected fatal \
-                 ({} violations, completed={})",
-                o.plan(),
-                o.seed,
-                o.violations,
-                o.completed
-            ));
-        }
-        if !o.tolerable() && o.survival != Survival::DetectedFatal {
-            bad.push(format!(
-                "plan {} seed {}: beyond the envelope but PASSED silently ({})",
-                o.plan(),
-                o.seed,
-                o.survival.name()
-            ));
-        }
-    }
-    bad
+    outcomes
+        .iter()
+        .filter(|o| o.off_envelope())
+        .map(|o| {
+            if o.tolerable() {
+                format!(
+                    "plan {} seed {}: inside the envelope but detected fatal \
+                     ({} violations, completed={})",
+                    o.plan(),
+                    o.seed,
+                    o.violations,
+                    o.completed
+                )
+            } else {
+                format!(
+                    "plan {} seed {}: beyond the envelope but PASSED silently ({})",
+                    o.plan(),
+                    o.seed,
+                    o.survival.name()
+                )
+            }
+        })
+        .collect()
 }
 
-/// Renders a chaos matrix as machine-readable JSON for CI gates and
-/// artifact diffing. Shape: `{"outcomes": [{plan, cpus, seed, tolerable,
-/// survival, completed, violations, …hardening counters…, steps, end_ns,
-/// schedule}], "failures": [env-check messages], "green": bool}`. The
-/// counters are [`KernelStats::hardening`](crate::KernelStats::hardening),
-/// in registry order; `schedule` is the row's campaign in the
-/// `repro.json` format (written by [`schedule_json`], `null` for a bare
-/// run), and `green` mirrors the process exit code (`false` iff
-/// [`check_envelope`] returned failures).
-pub fn survival_json(outcomes: &[ChaosOutcome], failures: &[String]) -> String {
-    let mut s = String::from("{\n  \"outcomes\": [\n");
+/// What a campaign's runs add up to: the soak summary, derived from the
+/// outcomes alone.
+#[derive(Clone, Debug, Default, PartialEq)]
+pub struct CampaignTotals {
+    /// Pmap operations the drivers were scripted to perform: four per
+    /// round, plus the finale's two reprotects where `final_ro` arms them.
+    pub ops: u64,
+    /// Runs that completed (quiescent, sentinel raised).
+    pub completed: u64,
+    /// Checker violations across all runs.
+    pub violations: u64,
+    /// Watchdog give-ups not absorbed into evictions, across all runs.
+    pub unrecovered: u64,
+    /// Kernel counters summed across all runs.
+    pub stats: KernelStats,
+}
+
+impl CampaignTotals {
+    /// Sums `outcomes`.
+    pub fn of(outcomes: &[ChaosOutcome]) -> CampaignTotals {
+        let mut t = CampaignTotals::default();
+        for o in outcomes {
+            if let Some(s) = &o.schedule {
+                t.ops += s.rounds * 4 + if s.final_ro { 2 } else { 0 };
+            }
+            t.completed += u64::from(o.completed);
+            t.violations += o.violations as u64;
+            t.unrecovered += o.stats.unrecovered();
+            t.stats += o.stats;
+        }
+        t
+    }
+}
+
+/// `{"name": count, …}` on one line.
+fn counts<'a>(pairs: impl IntoIterator<Item = (&'a str, u64)>) -> String {
+    let body: Vec<String> = pairs
+        .into_iter()
+        .map(|(name, v)| format!("\"{name}\": {v}"))
+        .collect();
+    format!("{{{}}}", body.join(", "))
+}
+
+/// Renders a campaign as machine-readable JSON — the one artifact shape
+/// of `machtlb chaos`, `soak` and `fuzz`, written in both verdicts so CI
+/// can archive a red run. Shape (DESIGN.md §17):
+///
+/// ```text
+/// {"campaign": name,
+///  "outcomes": [{plan, cpus, seed, tolerable, survival, completed,
+///                violations, …hardening counters…, steps, end_ns,
+///                schedule}],
+///  "totals": {runs, ops, completed, violations, unrecovered,
+///             …hardening counters…},
+///  "coverage": {schedules, events, wrongful_stalls, by_kind,
+///               victim_roles, schedule_flags, survivals},
+///  "failures": [envelope-check messages],
+///  "green": bool}
+/// ```
+///
+/// The counters are [`KernelStats::hardening`](crate::KernelStats::hardening),
+/// in registry order. A row's `schedule` is the schedule it ran, in the
+/// `repro.json` format ([`schedule_json`], `null` for a bare run), so
+/// every row is a `machtlb replay` input. `totals` is
+/// [`CampaignTotals::of`], `coverage` is [`Coverage::of`], and `green`
+/// is `failures.is_empty()`, which mirrors the exit code.
+pub fn campaign_json(campaign: &str, outcomes: &[ChaosOutcome], failures: &[String]) -> String {
+    let sep = |i: usize, n: usize| if i + 1 == n { "" } else { "," };
+    let mut s = format!(
+        "{{\n  \"campaign\": \"{}\",\n  \"outcomes\": [\n",
+        escape(campaign)
+    );
     for (i, o) in outcomes.iter().enumerate() {
         let schedule = o.schedule.as_ref().map_or("null".into(), |p| {
             schedule_json(p).trim_end().replace('\n', "\n      ")
@@ -1002,17 +1048,52 @@ pub fn survival_json(outcomes: &[ChaosOutcome], failures: &[String]) -> String {
             "\"steps\": {}, \"end_ns\": {},\n      \"schedule\": {schedule}}}{}",
             o.steps,
             o.end.as_nanos(),
-            if i + 1 == outcomes.len() { "" } else { "," },
+            sep(i, outcomes.len()),
         );
     }
-    s.push_str("  ],\n  \"failures\": [\n");
+    let t = CampaignTotals::of(outcomes);
+    let totals = [
+        ("runs", outcomes.len() as u64),
+        ("ops", t.ops),
+        ("completed", t.completed),
+        ("violations", t.violations),
+        ("unrecovered", t.unrecovered),
+    ];
+    let c = Coverage::of(outcomes);
+    let by_kind = Coverage::KIND_NAMES.into_iter().zip(c.by_kind);
+    let roles = [
+        ("relay", c.relay_victims),
+        ("holder", c.holder_victims),
+        ("initiator", c.initiator_victims),
+        ("rejoiner", c.rejoiner_victims),
+    ];
+    let flags = [
+        ("numa", c.numa_schedules),
+        ("fanout", c.fanout_schedules),
+        ("grab_lock", c.grab_lock_schedules),
+        ("co_initiator", c.co_initiator_schedules),
+        ("failop", c.failop_schedules),
+        ("final_ro", c.final_ro_schedules),
+    ];
+    let survivals = ["tolerated", "degraded", "detected_fatal"]
+        .into_iter()
+        .zip(c.survivals);
+    let _ = write!(
+        s,
+        "  ],\n  \"totals\": {},\n  \"coverage\": {{\"schedules\": {}, \"events\": {}, \
+         \"wrongful_stalls\": {},\n    \"by_kind\": {},\n    \"victim_roles\": {},\n    \
+         \"schedule_flags\": {},\n    \"survivals\": {}}},\n  \"failures\": [\n",
+        counts(totals.into_iter().chain(t.stats.hardening())),
+        c.schedules,
+        c.events,
+        c.wrongful_stalls,
+        counts(by_kind),
+        counts(roles),
+        counts(flags),
+        counts(survivals),
+    );
     for (i, f) in failures.iter().enumerate() {
-        let _ = writeln!(
-            s,
-            "    \"{}\"{}",
-            escape(f),
-            if i + 1 == failures.len() { "" } else { "," },
-        );
+        let _ = writeln!(s, "    \"{}\"{}", escape(f), sep(i, failures.len()));
     }
     let _ = write!(s, "  ],\n  \"green\": {}\n}}\n", failures.is_empty());
     s
@@ -1022,12 +1103,30 @@ pub fn survival_json(outcomes: &[ChaosOutcome], failures: &[String]) -> String {
 mod tests {
     use super::*;
 
-    fn outcome_for(n_cpus: usize, seed: u64, name: &str) -> ChaosOutcome {
+    use crate::schedule::run_schedule;
+
+    fn plan_for(n_cpus: usize, seed: u64, name: &str) -> FaultSchedule {
         let plan = plan_catalog(n_cpus)
             .into_iter()
             .find(|p| p.name == name)
             .expect("plan exists");
-        run_chaos(&ChaosConfig::new(n_cpus, seed, Some(plan)))
+        FaultSchedule { seed, ..plan }
+    }
+
+    fn outcome_for(n_cpus: usize, seed: u64, name: &str) -> ChaosOutcome {
+        run_schedule(&plan_for(n_cpus, seed, name))
+    }
+
+    /// The fault-free run with no injector installed at all.
+    fn bare(seed: u64) -> ChaosConfig {
+        ChaosConfig {
+            plan: None,
+            ..FaultSchedule {
+                seed,
+                ..FaultSchedule::default()
+            }
+            .compile()
+        }
     }
 
     #[test]
@@ -1183,12 +1282,9 @@ mod tests {
         // With a zero restart budget the driver abandons the operation.
         // The sentinel may still rise, but the campaign must classify as
         // caught — the CI red-exit gate rides on this.
-        let mut plan = plan_catalog(4)
-            .into_iter()
-            .find(|p| p.name == "failop-dead-holder")
-            .expect("plan exists");
+        let mut plan = plan_for(4, 3, "failop-dead-holder");
         plan.failop_retries = 0;
-        let o = run_chaos(&ChaosConfig::new(4, 3, Some(plan)));
+        let o = run_schedule(&plan);
         assert_eq!(o.survival, Survival::DetectedFatal, "{o:?}");
         assert!(o.stats.retries_exhausted >= 1, "{o:?}");
     }
@@ -1209,13 +1305,14 @@ mod tests {
     }
 
     #[test]
-    fn survival_json_carries_cpu_count_and_the_row_schedule() {
+    fn campaign_json_rows_carry_cpu_count_and_the_row_schedule() {
         let outcomes = vec![outcome_for(4, 3, "wrongful-evict")];
-        let json = survival_json(&outcomes, &[]);
+        let json = campaign_json("chaos", &outcomes, &[]);
         assert!(json.contains("\"cpus\": 4"), "{json}");
         // The provenance column is the row's schedule as it ran: seed 3,
         // parseable back by the replay reader.
         let doc = machtlb_xpr::json::Json::parse(&json).expect("valid json");
+        assert_eq!(doc.str_field("campaign"), Ok("chaos"));
         let row = &doc.array_field("outcomes").expect("outcomes")[0];
         let schedule = crate::schedule_from_json(row.field("schedule").expect("schedule"))
             .expect("the row's schedule parses");
@@ -1228,28 +1325,31 @@ mod tests {
     }
 
     #[test]
-    fn survival_json_mirrors_the_envelope_verdict() {
+    fn campaign_json_mirrors_the_envelope_verdict() {
         let outcomes = vec![
             outcome_for(4, 3, "none"),
             outcome_for(4, 3, "halt-resp-preack"),
         ];
         let failures = check_envelope(&outcomes);
-        let json = survival_json(&outcomes, &failures);
+        let json = campaign_json("chaos", &outcomes, &failures);
         assert!(failures.is_empty(), "{failures:?}");
         assert!(json.contains("\"green\": true"), "{json}");
         assert!(json.contains("\"plan\": \"halt-resp-preack\""), "{json}");
         assert!(json.contains("\"evictions\": 1"), "{json}");
         let failure = "plan x seed 1: \"bad\"".to_string();
-        let red = survival_json(&outcomes, std::slice::from_ref(&failure));
+        let red = campaign_json("chaos", &outcomes, std::slice::from_ref(&failure));
         assert!(red.contains("\"green\": false"), "{red}");
         let doc = machtlb_xpr::json::Json::parse(&red).expect("valid json");
         let failures = doc.array_field("failures").expect("failures");
         assert_eq!(failures[0].as_str(), Some(failure.as_str()));
+        let totals = doc.field("totals").expect("totals");
+        assert_eq!(totals.u64_field("runs"), Ok(2));
+        assert_eq!(totals.u64_field("evictions"), Ok(1));
     }
 
     #[test]
     fn fault_free_run_is_tolerated() {
-        let o = run_chaos(&ChaosConfig::new(4, 7, None));
+        let o = run_chaos(&bare(7));
         assert_eq!(o.survival, Survival::Tolerated, "{o:?}");
         assert!(o.completed);
         assert_eq!(o.violations, 0);
@@ -1261,7 +1361,7 @@ mod tests {
     fn uninstalled_and_none_plan_are_bit_identical() {
         // The zero-cost claim: installing a plan with every rule off must
         // not move a single clock edge or counter.
-        let bare = run_chaos(&ChaosConfig::new(4, 11, None));
+        let bare = run_chaos(&bare(11));
         let none = outcome_for(4, 11, "none");
         assert_eq!(bare.clocks, none.clocks);
         assert_eq!(bare.stats, none.stats);
@@ -1325,11 +1425,7 @@ mod tests {
 
     #[test]
     fn faults_are_stamped_into_the_xpr_stream() {
-        let plan = plan_catalog(4)
-            .into_iter()
-            .find(|p| p.name == "ipi-delay")
-            .expect("plan exists");
-        let mut cfg = ChaosConfig::new(4, 9, Some(plan));
+        let mut cfg = plan_for(4, 9, "ipi-delay").compile();
         cfg.kconfig.trace_shootdowns = true;
         let o = run_chaos(&cfg);
         let injected = o.faults.expect("plan installed").total();

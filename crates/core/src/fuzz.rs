@@ -30,7 +30,9 @@
 //! Red classification matches the chaos harness: a run is red iff it
 //! classifies [`Survival::DetectedFatal`] — a checker violation, an
 //! unrecovered watchdog give-up, an exhausted FailOp budget, or a
-//! campaign that never completed.
+//! campaign that never completed. A campaign ([`fuzz_schedules`]) runs
+//! through [`run_campaign`](crate::run_campaign) like the chaos catalog
+//! and the soak, and [`Coverage::of`] counts what its outcomes exercised.
 
 use crate::chaos::{ChaosOutcome, Survival};
 use crate::schedule::{
@@ -283,45 +285,25 @@ pub struct FuzzConfig {
     pub rounds: u64,
 }
 
-impl FuzzConfig {
-    /// A standard campaign at the acceptance band's sizes.
-    pub fn new(seed: u64, budget: u64) -> FuzzConfig {
-        FuzzConfig {
-            seed,
-            budget,
-            n_cpus: 0,
-            rounds: 3,
-        }
-    }
+/// The fuzz preset: `cfg.budget` generated schedules from one
+/// [`SplitMix64`] stream seeded with `cfg.seed`, so the whole campaign is
+/// a pure function of the config. Lazy, like the other presets.
+pub fn fuzz_schedules(cfg: &FuzzConfig) -> impl Iterator<Item = FaultSchedule> + '_ {
+    let mut rng = SplitMix64::new(cfg.seed);
+    let sizes: &[usize] = &[32, 48, 64];
+    (0..cfg.budget).map(move |i| {
+        let n_cpus = if cfg.n_cpus == 0 {
+            sizes[(i % sizes.len() as u64) as usize]
+        } else {
+            cfg.n_cpus
+        };
+        generate_schedule(&mut rng, n_cpus, cfg.rounds)
+    })
 }
 
-/// One campaign run's summary (the full schedule is regenerable from the
-/// campaign seed and the run index; red runs also carry it verbatim).
-#[derive(Clone, Debug, PartialEq)]
-pub struct FuzzRun {
-    /// Index within the campaign.
-    pub index: u64,
-    /// Processors in the machine.
-    pub n_cpus: usize,
-    /// The schedule's machine seed.
-    pub machine_seed: u64,
-    /// Events in the schedule.
-    pub events: usize,
-    /// Distinct victim processors.
-    pub victims: usize,
-    /// The verdict.
-    pub survival: Survival,
-    /// Whether the run was red (caught) — a finding on a tolerable
-    /// schedule.
-    pub red: bool,
-    /// Simulated end of the run, integral microseconds (deterministic —
-    /// the bench headline that baselines can hold).
-    pub sim_us: u64,
-}
-
-/// What the campaign exercised, for the coverage artifact: a fuzzer that
-/// silently stops generating a fault class looks green for the wrong
-/// reason, so the counts are part of the contract.
+/// What a campaign exercised, the campaign JSON's `coverage` block: a
+/// fuzzer that silently stops generating a fault class looks green for
+/// the wrong reason, so the counts are part of the contract.
 #[derive(Clone, Debug, Default, PartialEq)]
 pub struct Coverage {
     /// Schedules run.
@@ -369,10 +351,22 @@ impl Coverage {
         "offline",
     ];
 
+    /// What `outcomes` exercised (bare runs, with no schedule, are
+    /// skipped).
+    pub fn of(outcomes: &[ChaosOutcome]) -> Coverage {
+        let mut c = Coverage::default();
+        for o in outcomes {
+            if let Some(s) = &o.schedule {
+                c.absorb(s, o.survival);
+            }
+        }
+        c
+    }
+
     fn absorb(&mut self, s: &FaultSchedule, survival: Survival) {
         self.schedules += 1;
         self.events += s.events.len() as u64;
-        let node_cpus = (s.n_cpus / s.nodes) as u32;
+        let node_cpus = s.node_size() as u32;
         for e in &s.events {
             let kind = Coverage::KIND_NAMES.iter().position(|&k| k == e.kind());
             self.by_kind[kind.expect("every kind is named")] += 1;
@@ -407,128 +401,6 @@ impl Coverage {
         self.final_ro_schedules += u64::from(s.final_ro);
         self.survivals[survival as usize] += 1;
     }
-}
-
-/// A whole campaign's result.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct FuzzReport {
-    /// The generator seed.
-    pub seed: u64,
-    /// Schedules run.
-    pub budget: u64,
-    /// Per-run summaries, in order.
-    pub runs: Vec<FuzzRun>,
-    /// Red runs (findings on tolerable schedules).
-    pub reds: u64,
-    /// What the campaign exercised.
-    pub coverage: Coverage,
-    /// The first red schedule, verbatim, ready for [`shrink`].
-    pub first_red: Option<FaultSchedule>,
-}
-
-/// Runs a seeded fuzz campaign: `budget` generated schedules, each run
-/// under the chaos harness with recovery enabled. Deterministic: the
-/// same config always produces the same report.
-pub fn run_fuzz(cfg: &FuzzConfig) -> FuzzReport {
-    let mut rng = SplitMix64::new(cfg.seed);
-    let sizes: &[usize] = &[32, 48, 64];
-    let mut report = FuzzReport {
-        seed: cfg.seed,
-        budget: cfg.budget,
-        ..FuzzReport::default()
-    };
-    for i in 0..cfg.budget {
-        let n_cpus = if cfg.n_cpus == 0 {
-            sizes[(i % sizes.len() as u64) as usize]
-        } else {
-            cfg.n_cpus
-        };
-        let s = generate_schedule(&mut rng, n_cpus, cfg.rounds);
-        let o = run_schedule(&s);
-        let red = is_red(&o) && s.tolerable;
-        report.coverage.absorb(&s, o.survival);
-        report.runs.push(FuzzRun {
-            index: i,
-            n_cpus,
-            machine_seed: s.seed,
-            events: s.events.len(),
-            victims: s.victims().len(),
-            survival: o.survival,
-            red,
-            sim_us: o.end.as_micros_f64() as u64,
-        });
-        if red {
-            report.reds += 1;
-            if report.first_red.is_none() {
-                report.first_red = Some(s);
-            }
-        }
-    }
-    report
-}
-
-/// Renders a campaign report as the coverage JSON artifact. `green`
-/// mirrors the `machtlb fuzz` exit code: `false` iff any tolerable
-/// schedule was caught.
-pub fn fuzz_json(r: &FuzzReport) -> String {
-    let mut s = format!(
-        "{{\n  \"seed\": {}, \"budget\": {}, \"reds\": {},\n  \"coverage\": {{\n    \
-         \"schedules\": {}, \"events\": {}, \"wrongful_stalls\": {},\n    \"by_kind\": {{",
-        r.seed,
-        r.budget,
-        r.reds,
-        r.coverage.schedules,
-        r.coverage.events,
-        r.coverage.wrongful_stalls,
-    );
-    for (i, name) in Coverage::KIND_NAMES.iter().enumerate() {
-        s.push_str(&format!(
-            "\"{name}\": {}{}",
-            r.coverage.by_kind[i],
-            if i + 1 == Coverage::KIND_NAMES.len() {
-                ""
-            } else {
-                ", "
-            }
-        ));
-    }
-    s.push_str(&format!(
-        "}},\n    \"victim_roles\": {{\"relay\": {}, \"holder\": {}, \"initiator\": {}, \
-         \"rejoiner\": {}}},\n    \"schedule_flags\": {{\"numa\": {}, \"fanout\": {}, \
-         \"grab_lock\": {}, \"co_initiator\": {}, \"failop\": {}, \"final_ro\": {}}},\n    \
-         \"survivals\": {{\"tolerated\": {}, \"degraded\": {}, \"detected_fatal\": {}}}\n  \
-         }},\n  \"runs\": [\n",
-        r.coverage.relay_victims,
-        r.coverage.holder_victims,
-        r.coverage.initiator_victims,
-        r.coverage.rejoiner_victims,
-        r.coverage.numa_schedules,
-        r.coverage.fanout_schedules,
-        r.coverage.grab_lock_schedules,
-        r.coverage.co_initiator_schedules,
-        r.coverage.failop_schedules,
-        r.coverage.final_ro_schedules,
-        r.coverage.survivals[0],
-        r.coverage.survivals[1],
-        r.coverage.survivals[2],
-    ));
-    for (i, run) in r.runs.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"index\": {}, \"cpus\": {}, \"machine_seed\": {}, \"events\": {}, \
-             \"victims\": {}, \"survival\": \"{}\", \"red\": {}, \"sim_us\": {}}}{}\n",
-            run.index,
-            run.n_cpus,
-            run.machine_seed,
-            run.events,
-            run.victims,
-            run.survival.name(),
-            run.red,
-            run.sim_us,
-            if i + 1 == r.runs.len() { "" } else { "," },
-        ));
-    }
-    s.push_str(&format!("  ],\n  \"green\": {}\n}}\n", r.reds == 0));
-    s
 }
 
 // ---------------------------------------------------------------------
@@ -620,7 +492,7 @@ pub fn shrink(input: &FaultSchedule, max_replays: u64) -> Result<ShrinkReport, S
 
         // Pass 2: normalize sabotage flags toward their defaults.
         type Reset = (&'static str, fn(&mut FaultSchedule, &FaultSchedule));
-        let resets: [Reset; 11] = [
+        let resets: [Reset; 13] = [
             ("fencing -> true", |s, d| s.fencing = d.fencing),
             ("final_ro -> false", |s, d| s.final_ro = d.final_ro),
             ("grab_lock -> false", |s, d| s.grab_lock = d.grab_lock),
@@ -630,6 +502,10 @@ pub fn shrink(input: &FaultSchedule, max_replays: u64) -> Result<ShrinkReport, S
             ("failop -> false", |s, d| s.failop = d.failop),
             ("nodes -> 1", |s, d| s.nodes = d.nodes),
             ("fanout -> 1", |s, d| s.fanout = d.fanout),
+            ("node_cpus -> even split", |s, d| s.node_cpus = d.node_cpus),
+            ("remote_latency_us -> 4", |s, d| {
+                s.remote_latency_us = d.remote_latency_us
+            }),
             ("watchdog -> true", |s, d| s.watchdog = d.watchdog),
             ("queue_capacity -> none", |s, d| {
                 s.queue_capacity = d.queue_capacity
@@ -722,7 +598,8 @@ pub fn shrink(input: &FaultSchedule, max_replays: u64) -> Result<ShrinkReport, S
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::schedule::{parse_schedule, schedule_json};
+    use crate::chaos::{campaign_json, check_envelope};
+    use crate::schedule::{parse_schedule, run_campaign, schedule_json};
 
     fn wrongful_no_fence(n_cpus: usize) -> FaultSchedule {
         FaultSchedule {
@@ -817,6 +694,16 @@ mod tests {
                 "\"tolerable\": false,\n".into(),
                 opt("queue_capacity", "1e3"),
             ),
+            ("\"tolerable\": false,\n".into(), opt("node_cpus", "0")),
+            (
+                "\"tolerable\": false,\n".into(),
+                opt("remote_latency_us", "18446744073709552"),
+            ),
+            // Two nodes of eight leave nothing for the second node.
+            (
+                "\"nodes\": 1,".into(),
+                "\"nodes\": 2,\n  \"node_cpus\": 8,".into(),
+            ),
         ] {
             let text = good.replace(&from, &to);
             assert_ne!(text, good);
@@ -845,23 +732,23 @@ mod tests {
             n_cpus: 8,
             rounds: 2,
         };
-        let a = run_fuzz(&cfg);
-        assert_eq!(a.reds, 0, "{:?}", a.first_red);
-        assert_eq!(a.runs.len(), 4);
-        assert!(a.coverage.events > 0);
-        let b = run_fuzz(&cfg);
+        let a = run_campaign(fuzz_schedules(&cfg));
+        assert!(check_envelope(&a).is_empty(), "{a:?}");
+        assert_eq!(a.len(), 4);
+        assert!(Coverage::of(&a).events > 0);
+        let b = run_campaign(fuzz_schedules(&cfg));
         assert_eq!(a, b, "a campaign must replay bit-identically");
     }
 
     #[test]
-    fn fuzz_json_carries_coverage_and_verdict() {
-        let r = run_fuzz(&FuzzConfig {
+    fn campaign_json_carries_coverage_and_verdict() {
+        let outcomes = run_campaign(fuzz_schedules(&FuzzConfig {
             seed: 5,
             budget: 2,
             n_cpus: 8,
             rounds: 2,
-        });
-        let json = fuzz_json(&r);
+        }));
+        let json = campaign_json("fuzz", &outcomes, &[]);
         assert!(json.contains("\"by_kind\""), "{json}");
         assert!(json.contains("\"victim_roles\""), "{json}");
         assert!(json.contains("\"green\": true"), "{json}");

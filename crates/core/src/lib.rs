@@ -77,14 +77,14 @@ mod strategy;
 
 pub use access::{try_access, AccessOutcome, MemOp};
 pub use chaos::{
-    chaos_kconfig, chaos_matrix, check_envelope, plan_catalog, run_chaos, run_chaos_with,
-    survival_json, ChaosConfig, ChaosOutcome, Survival,
+    campaign_json, chaos_kconfig, chaos_schedules, check_envelope, plan_catalog, run_chaos,
+    run_chaos_with, CampaignTotals, ChaosConfig, ChaosOutcome, Survival,
 };
 pub use checker::{Checker, Violation};
 pub use diagnose::stall_report;
 pub use fuzz::{
-    fuzz_json, generate_schedule, is_red, run_fuzz, shrink, Coverage, FuzzConfig, FuzzReport,
-    FuzzRun, ShrinkReport, SplitMix64,
+    fuzz_schedules, generate_schedule, is_red, shrink, Coverage, FuzzConfig, ShrinkReport,
+    SplitMix64,
 };
 pub use health::{
     evict, reclaim_dead_locks, EvictionReport, FencedRejoinProcess, HealthConfig, RecoveryPolicy,
@@ -98,13 +98,11 @@ pub use op::{FailOpDriver, OpOutcome, PmapOp, PmapOpProcess};
 pub use queue::{Action, ActionQueue, EnqueueOutcome};
 pub use responder::{enter_idle, ExitIdleProcess, ResponderProcess};
 pub use schedule::{
-    offline_floor_us, parse_schedule, revive_floor_us, run_schedule, schedule_from_json,
-    schedule_json, FaultSchedule, ScheduleEvent, MAX_SCHEDULE_CPUS, WRONGFUL_STALL_US,
+    offline_floor_us, parse_schedule, revive_floor_us, run_campaign, run_schedule,
+    schedule_from_json, schedule_json, FaultSchedule, ScheduleEvent, MAX_SCHEDULE_CPUS,
+    WRONGFUL_STALL_US,
 };
-pub use soak::{
-    run_soak, soak_cycle_schedule, soak_exhaustion_schedule, soak_json, SoakConfig, SoakCycle,
-    SoakOutcome,
-};
+pub use soak::{soak_cycle_schedule, soak_exhaustion_schedule, soak_schedules, SoakConfig};
 pub use state::{
     queue_lock_channel, FrameAllocator, HasKernel, KernelConfig, KernelState, KernelStats,
     NodeCounters, PendingCommit, PhysMem, PmapRegistry, ShootdownRound, SpinMode, WatchdogConfig,

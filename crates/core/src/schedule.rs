@@ -9,6 +9,10 @@
 //! serializes losslessly ([`schedule_json`] / [`parse_schedule`]), and
 //! replays bit-identically ([`run_schedule`]): every fault is counter- or
 //! time-triggered, never randomly drawn at run time.
+//!
+//! [`run_campaign`] is the one campaign engine: `machtlb chaos`, `soak`
+//! and `fuzz` only generate schedules, and every one of them runs here,
+//! under the bounds of [`FaultSchedule::compile`].
 
 use std::fmt::Write as _;
 
@@ -18,7 +22,8 @@ use machtlb_sim::{
 };
 use machtlb_xpr::json::{escape, Json};
 
-use crate::chaos::{run_chaos, ChaosConfig, ChaosOutcome};
+use crate::chaos::{chaos_kconfig, run_chaos, ChaosConfig, ChaosOutcome};
+use crate::health::RecoveryPolicy;
 use crate::kernel::SHOOTDOWN_VECTOR;
 
 /// A dispatch stretch at or beyond this length overshoots the chaos
@@ -181,15 +186,15 @@ impl ScheduleEvent {
 }
 
 /// A complete, self-contained fault campaign: machine shape, kernel
-/// sabotage flags, and the fault-event list. Runs under the chaos harness
-/// directly (`ChaosConfig::new(n, seed, Some(schedule))`) or with
-/// fuzz-scaled bounds via [`FaultSchedule::compile`]; serializes via
+/// sabotage flags, and the fault-event list. Runs through
+/// [`FaultSchedule::compile`] ([`run_schedule`]); serializes via
 /// [`schedule_json`]; replays bit-identically.
 ///
 /// [`FaultSchedule::default`] is the fault-free 4-processor campaign with
 /// every flag at its default; the serializer writes the optional fields
-/// (`name`, `watchdog`, `queue_capacity`, `poison`, `failop_retries`) only
-/// when they differ from it.
+/// (`name`, `node_cpus`, `remote_latency_us`, `watchdog`,
+/// `queue_capacity`, `poison`, `failop_retries`) only when they differ
+/// from it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct FaultSchedule {
     /// Short name for tables and test output (empty for generated
@@ -203,6 +208,12 @@ pub struct FaultSchedule {
     pub rounds: u64,
     /// NUMA nodes (1 = the flat single-bus machine).
     pub nodes: usize,
+    /// Processors per node; `None` is `n_cpus.div_ceil(nodes)`. Only
+    /// meaningful with `nodes > 1` (the last node absorbs any surplus).
+    pub node_cpus: Option<usize>,
+    /// Microseconds added to every interconnect crossing. Only
+    /// meaningful with `nodes > 1`.
+    pub remote_latency_us: u64,
     /// Multicast IPI fanout degree (1 = the paper's unicast loop).
     pub fanout: usize,
     /// Whether eviction/rejoin fencing is enabled. `false` is the
@@ -251,6 +262,8 @@ impl Default for FaultSchedule {
             n_cpus: 4,
             rounds: 3,
             nodes: 1,
+            node_cpus: None,
+            remote_latency_us: 4,
             fanout: 1,
             fencing: true,
             final_ro: false,
@@ -315,14 +328,22 @@ impl FaultSchedule {
         if self.nodes == 0 || self.fanout == 0 {
             return Err("nodes and fanout must be at least 1".into());
         }
-        if self.nodes > 1 {
-            let node_cpus = self.n_cpus.div_ceil(self.nodes);
-            if node_cpus * (self.nodes - 1) >= self.n_cpus {
-                return Err(format!(
-                    "{} nodes leave no processor for the last node on {} cpus",
-                    self.nodes, self.n_cpus
-                ));
-            }
+        if self.node_cpus == Some(0) {
+            return Err("node_cpus must be at least 1".into());
+        }
+        if self.nodes > 1 && self.node_size().saturating_mul(self.nodes - 1) >= self.n_cpus {
+            return Err(format!(
+                "{} nodes of {} leave no processor for the last node on {} cpus",
+                self.nodes,
+                self.node_size(),
+                self.n_cpus
+            ));
+        }
+        if self.remote_latency_us.checked_mul(1_000).is_none() {
+            return Err(format!(
+                "remote_latency_us {} overflows the clock",
+                self.remote_latency_us
+            ));
         }
         if self.queue_capacity == Some(0) {
             return Err("queue_capacity must be at least 1".into());
@@ -475,14 +496,47 @@ impl FaultSchedule {
         fault
     }
 
-    /// Compiles the schedule into the runnable [`ChaosConfig`] that
-    /// `machtlb replay` and the fuzzer use: the schedule's own machine
-    /// shape, with bounds that scale like [`ChaosConfig::scaled`]'s plus
-    /// extra headroom — fuzz schedules stack wrongful stalls and late
-    /// revives that the catalog never combines.
+    /// Processors per node: `node_cpus`, or the even split.
+    pub fn node_size(&self) -> usize {
+        self.node_cpus
+            .unwrap_or_else(|| self.n_cpus.div_ceil(self.nodes))
+    }
+
+    /// The machine topology the schedule describes (`None` = flat).
+    pub fn topology(&self) -> Option<Topology> {
+        (self.nodes > 1).then(|| {
+            Topology::numa(
+                self.nodes,
+                self.node_size(),
+                Dur::micros(self.remote_latency_us),
+            )
+        })
+    }
+
+    /// The schedule on `topology`'s machine, the inverse of
+    /// [`FaultSchedule::topology`]; a flat topology (or `None`) leaves
+    /// the schedule as it is. The node size is kept only when it differs
+    /// from the even split, and the latency in whole microseconds, so an
+    /// evenly split machine at the default latency serializes exactly as
+    /// before.
+    pub fn with_topology(self, topology: Option<Topology>) -> FaultSchedule {
+        let Some(t) = topology.filter(|t| !t.is_flat()) else {
+            return self;
+        };
+        FaultSchedule {
+            nodes: t.nodes(),
+            node_cpus: (t.node_cpus() != self.n_cpus.div_ceil(t.nodes())).then_some(t.node_cpus()),
+            remote_latency_us: t.remote_latency().as_nanos() / 1_000,
+            ..self
+        }
+    }
+
+    /// Compiles the schedule into the runnable [`ChaosConfig`]: the
+    /// schedule's own machine shape under the campaign bounds. This is
+    /// the one bounds formula — every campaign, `machtlb replay`, the
+    /// fuzzer and the shrinker run under it, so any campaign row
+    /// replays exactly.
     pub fn compile(&self) -> ChaosConfig {
-        let mut cfg = ChaosConfig::new(self.n_cpus, self.seed, Some(self.clone()));
-        cfg.rounds = self.rounds;
         // Dead victims are given up on sequentially, ~75 ms of watchdog
         // horizon each, and every wrongful stall adds its own stretch
         // before the victim self-fences — so the wall-clock budget must
@@ -495,19 +549,30 @@ impl FaultSchedule {
                 matches!(e, ScheduleEvent::Stall { extra_us, .. } if *extra_us >= WRONGFUL_STALL_US)
             })
             .count() as u64;
-        cfg.max_steps = 8_000_000 + self.n_cpus as u64 * 750_000;
-        cfg.limit = Time::from_micros(
+        let max_steps = 8_000_000 + self.n_cpus as u64 * 750_000;
+        let limit = Time::from_micros(
             300_000 + self.n_cpus as u64 * 6_000 + 90_000 * fail_stops + 150_000 * wrongful,
         );
-        if self.nodes > 1 {
-            cfg.kconfig.topology = Some(Topology::numa(
-                self.nodes,
-                self.n_cpus.div_ceil(self.nodes),
-                Dur::micros(4),
-            ));
+        let mut kconfig = chaos_kconfig();
+        kconfig.topology = self.topology();
+        kconfig.fanout = self.fanout;
+        kconfig.watchdog.enabled = self.watchdog;
+        kconfig.health.fencing = self.fencing;
+        if self.failop {
+            kconfig.health.policy = RecoveryPolicy::FailOp;
         }
-        cfg.kconfig.fanout = self.fanout;
-        cfg
+        if let Some(cap) = self.queue_capacity {
+            kconfig.action_queue_capacity = cap;
+        }
+        ChaosConfig {
+            n_cpus: self.n_cpus,
+            seed: self.seed,
+            kconfig,
+            plan: Some(self.clone()),
+            rounds: self.rounds,
+            limit,
+            max_steps,
+        }
     }
 }
 
@@ -515,6 +580,19 @@ impl FaultSchedule {
 /// [`FaultSchedule::compile`]'s bounds — the `machtlb replay` runner.
 pub fn run_schedule(s: &FaultSchedule) -> ChaosOutcome {
     run_chaos(&s.compile())
+}
+
+/// The one campaign engine: runs each schedule through [`run_schedule`],
+/// in order, pulling the next only after the last has finished (so a
+/// lazily generated campaign, like a duration-bounded soak, sees the
+/// time spent). The presets only generate schedules:
+/// [`chaos_schedules`](crate::chaos_schedules),
+/// [`soak_schedules`](crate::soak_schedules) and
+/// [`fuzz_schedules`](crate::fuzz_schedules). Judge the outcomes with
+/// [`check_envelope`](crate::check_envelope) and write them with
+/// [`campaign_json`](crate::campaign_json).
+pub fn run_campaign(schedules: impl IntoIterator<Item = FaultSchedule>) -> Vec<ChaosOutcome> {
+    schedules.into_iter().map(|s| run_schedule(&s)).collect()
 }
 
 // ---------------------------------------------------------------------
@@ -549,6 +627,12 @@ pub fn schedule_json(s: &FaultSchedule) -> String {
         s.failop,
         s.tolerable,
     );
+    if let Some(n) = s.node_cpus {
+        let _ = writeln!(out, "  \"node_cpus\": {n},");
+    }
+    if s.remote_latency_us != d.remote_latency_us {
+        let _ = writeln!(out, "  \"remote_latency_us\": {},", s.remote_latency_us);
+    }
     if s.watchdog != d.watchdog {
         let _ = writeln!(out, "  \"watchdog\": {},", s.watchdog);
     }
@@ -647,6 +731,9 @@ pub fn schedule_from_json(root: &Json) -> Result<FaultSchedule, String> {
         n_cpus: narrow(root, "cpus")?,
         rounds: root.u64_field("rounds")?,
         nodes: narrow(root, "nodes")?,
+        node_cpus: optional(root, "node_cpus", narrow)?,
+        remote_latency_us: optional(root, "remote_latency_us", Json::u64_field)?
+            .unwrap_or(d.remote_latency_us),
         fanout: narrow(root, "fanout")?,
         fencing: root.bool_field("fencing")?,
         final_ro: root.bool_field("final_ro")?,

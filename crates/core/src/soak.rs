@@ -1,25 +1,26 @@
-//! The multi-fault soak harness: halt, offline/revive, wrongful
+//! The multi-fault soak preset: halt, offline/revive, wrongful
 //! eviction, compound halts, and FailOp dead-holder recovery cycled back
 //! to back for hundreds of cycles (thousands of pmap operations) at
 //! 32–128 processors, with the checker on throughout.
 //!
-//! Each cycle is one [`run_chaos`] campaign under a rotating fault shape
-//! and a rotating victim processor, so membership churn sweeps the whole
-//! machine rather than hammering one processor. [`run_soak`] aggregates
-//! the cycles into a [`SoakOutcome`]; [`soak_json`] renders it for CI
-//! artifacts. The harness *survives* iff every cycle completed with zero
-//! checker violations, zero unrecovered watchdog give-ups, and zero
-//! exhausted FailOp retries — the "chaos at scale" acceptance gate.
+//! Each cycle is one schedule under a rotating fault shape and a
+//! rotating victim processor, so membership churn sweeps the whole
+//! machine rather than hammering one processor. [`soak_schedules`]
+//! generates the cycles lazily and [`run_campaign`](crate::run_campaign)
+//! runs them; the soak *survives* iff
+//! [`check_envelope`](crate::check_envelope) is empty — every cycle
+//! completed with zero checker violations, zero unrecovered watchdog
+//! give-ups, and zero exhausted FailOp retries, the "chaos at scale"
+//! acceptance gate. [`CampaignTotals`](crate::CampaignTotals) sums the
+//! cycles.
 //!
-//! Everything inherits the chaos harness's determinism: the same
-//! [`SoakConfig`] always produces a bit-identical [`SoakOutcome`].
+//! Everything inherits the schedule runner's determinism: the same
+//! [`SoakConfig`] (without a duration) always produces bit-identical
+//! outcomes.
 
-use machtlb_sim::Time;
-use machtlb_xpr::json::escape;
+use std::time::{Duration, Instant};
 
-use crate::chaos::{run_chaos, ChaosConfig, Survival};
 use crate::schedule::{FaultSchedule, ScheduleEvent, WRONGFUL_STALL_US};
-use crate::state::KernelStats;
 
 /// One soak run's inputs.
 #[derive(Clone, Debug)]
@@ -35,16 +36,17 @@ pub struct SoakConfig {
     /// Reprotect/restore rounds per cycle (4 pmap operations each, plus
     /// the finale's reprotects where the shape arms one).
     pub rounds: u64,
-    /// Append one beyond-envelope cycle that runs the FailOp shape with a
-    /// zero restart budget, forcing `retries_exhausted` — the CI gate's
-    /// injected failure, proving a red soak actually exits red.
+    /// Append the planted cycle ([`soak_exhaustion_schedule`]): the
+    /// FailOp shape with a zero restart budget, declared tolerable, so
+    /// the envelope check must flag it — the CI gate's positive control,
+    /// proving a red soak actually exits red.
     pub inject_exhaustion: bool,
     /// Run cycles until this much wall-clock time has elapsed instead of
     /// counting to [`SoakConfig::cycles`] (at least one cycle always
     /// runs). Each cycle stays seed-deterministic; only *how many* run
     /// depends on the host's speed, so duration-bounded outcomes are not
     /// bit-reproducible across machines — use `cycles` for goldens.
-    pub duration: Option<std::time::Duration>,
+    pub duration: Option<Duration>,
 }
 
 impl SoakConfig {
@@ -60,53 +62,6 @@ impl SoakConfig {
             duration: None,
         }
     }
-}
-
-/// One cycle's result, kept compact for the JSON artifact.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SoakCycle {
-    /// Cycle index.
-    pub cycle: u64,
-    /// The fault shape's schedule name.
-    pub plan: String,
-    /// The derived machine seed.
-    pub seed: u64,
-    /// The cycle's verdict.
-    pub survival: Survival,
-    /// Whether the cycle's campaign ran to completion.
-    pub completed: bool,
-    /// Checker violations in this cycle.
-    pub violations: usize,
-    /// Watchdog give-ups the health monitor did not absorb.
-    pub unrecovered: u64,
-    /// The campaign's simulated end time.
-    pub end: Time,
-}
-
-/// Everything a soak produced.
-#[derive(Clone, Debug, Default, PartialEq)]
-pub struct SoakOutcome {
-    /// Processors in the machine.
-    pub n_cpus: usize,
-    /// Cycles run (including the injected-exhaustion cycle, if armed).
-    pub cycles: u64,
-    /// The base seed.
-    pub seed: u64,
-    /// Pmap operations driven across all cycles.
-    pub ops: u64,
-    /// Cycles whose campaign ran to completion.
-    pub completed_cycles: u64,
-    /// Checker violations across all cycles.
-    pub violations: u64,
-    /// Watchdog give-ups not absorbed into evictions, across all cycles.
-    pub unrecovered: u64,
-    /// Kernel counters summed across all cycles.
-    pub stats: KernelStats,
-    /// The acceptance verdict: every cycle completed, zero violations,
-    /// zero unrecovered give-ups, zero exhausted retries.
-    pub survived: bool,
-    /// Per-cycle results, in order.
-    pub log: Vec<SoakCycle>,
 }
 
 /// The schedule soak cycle `cycle` runs: the rotating fault-shape family
@@ -179,15 +134,14 @@ pub fn soak_cycle_schedule(cfg: &SoakConfig, cycle: u64) -> FaultSchedule {
     }
 }
 
-/// The beyond-envelope injected-failure cycle, run as cycle `cycle`: the
-/// FailOp shape with a zero restart budget, guaranteed to book
-/// `retries_exhausted`.
+/// The planted cycle, run as cycle `cycle`: the FailOp shape with a zero
+/// restart budget, guaranteed to book `retries_exhausted`. It stays
+/// declared tolerable — a planted finding the envelope check must flag.
 pub fn soak_exhaustion_schedule(cfg: &SoakConfig, cycle: u64) -> FaultSchedule {
     FaultSchedule {
         name: "soak-failop-exhausted".into(),
         seed: cycle_seed(cfg, cycle),
         failop_retries: 0,
-        tolerable: false,
         ..soak_cycle_schedule(cfg, 4) // the FailOp shape
     }
 }
@@ -198,125 +152,66 @@ fn cycle_seed(cfg: &SoakConfig, cycle: u64) -> u64 {
     cfg.seed.wrapping_add(cycle.wrapping_mul(7919))
 }
 
-/// Runs the whole soak: `cycles` rotating-fault campaigns (plus the
-/// injected-exhaustion cycle when armed), aggregated into one verdict.
+/// The soak preset: the rotating cycles, then the planted cycle when
+/// armed. Lazy — a duration-bounded soak does not know its cycle count
+/// up front; it keeps rotating the shape family until the wall-clock
+/// budget (counted from this call) is spent, at least one cycle always.
 ///
 /// # Panics
 ///
 /// Panics if `n_cpus < 4`.
-pub fn run_soak(cfg: &SoakConfig) -> SoakOutcome {
+pub fn soak_schedules(cfg: &SoakConfig) -> impl Iterator<Item = FaultSchedule> + '_ {
     assert!(cfg.n_cpus >= 4, "soak needs at least 4 processors");
-    let mut out = SoakOutcome {
-        n_cpus: cfg.n_cpus,
-        seed: cfg.seed,
-        ..SoakOutcome::default()
-    };
-    // Plans are generated lazily: a duration-bounded soak does not know
-    // its cycle count up front, it keeps rotating the shape family until
-    // the wall-clock budget is spent (at least one cycle always runs).
-    let started = std::time::Instant::now();
+    let started = Instant::now();
     let mut cycle = 0u64;
-    let mut exhaustion_done = false;
-    loop {
+    let mut planted = !cfg.inject_exhaustion;
+    std::iter::from_fn(move || {
         let more = match cfg.duration {
             Some(budget) => cycle == 0 || started.elapsed() < budget,
             None => cycle < cfg.cycles,
         };
-        let plan = if more {
+        let s = if more {
             soak_cycle_schedule(cfg, cycle)
-        } else if cfg.inject_exhaustion && !exhaustion_done {
-            exhaustion_done = true;
+        } else if !planted {
+            planted = true;
             soak_exhaustion_schedule(cfg, cycle)
         } else {
-            break;
+            return None;
         };
-        let ops = cfg.rounds * 4 + if plan.final_ro { 2 } else { 0 };
-        let mut ccfg = ChaosConfig::scaled(cfg.n_cpus, plan.seed, Some(plan));
-        ccfg.rounds = cfg.rounds;
-        let o = run_chaos(&ccfg);
-        let unrecovered = o.stats.unrecovered();
-        out.cycles += 1;
-        out.ops += ops;
-        out.completed_cycles += u64::from(o.completed);
-        out.violations += o.violations as u64;
-        out.unrecovered += unrecovered;
-        out.stats += o.stats;
-        out.log.push(SoakCycle {
-            cycle,
-            plan: o.plan().to_string(),
-            seed: o.seed,
-            survival: o.survival,
-            completed: o.completed,
-            violations: o.violations,
-            unrecovered,
-            end: o.end,
-        });
         cycle += 1;
-    }
-    out.survived = out.completed_cycles == out.cycles
-        && out.violations == 0
-        && out.unrecovered == 0
-        && out.stats.retries_exhausted == 0;
-    out
-}
-
-/// Renders a soak outcome as machine-readable JSON for CI artifacts.
-/// `survived` mirrors the process exit code of `machtlb soak`.
-pub fn soak_json(o: &SoakOutcome) -> String {
-    let mut s = format!(
-        "{{\n  \"cpus\": {}, \"cycles\": {}, \"seed\": {}, \"ops\": {},\n  \
-         \"completed_cycles\": {}, \"violations\": {}, \"unrecovered\": {},\n ",
-        o.n_cpus, o.cycles, o.seed, o.ops, o.completed_cycles, o.violations, o.unrecovered,
-    );
-    for (name, v) in o.stats.hardening() {
-        s.push_str(&format!(" \"{name}\": {v},"));
-    }
-    s.push_str("\n  \"cycle_log\": [\n");
-    for (i, c) in o.log.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"cycle\": {}, \"plan\": \"{}\", \"seed\": {}, \"survival\": \"{}\", \
-             \"completed\": {}, \"violations\": {}, \"unrecovered\": {}, \
-             \"end_ms\": {:.1}}}{}\n",
-            c.cycle,
-            escape(&c.plan),
-            c.seed,
-            c.survival.name(),
-            c.completed,
-            c.violations,
-            c.unrecovered,
-            c.end.as_millis_f64(),
-            if i + 1 == o.log.len() { "" } else { "," },
-        ));
-    }
-    s.push_str(&format!("  ],\n  \"survived\": {}\n}}\n", o.survived));
-    s
+        Some(s)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chaos::{campaign_json, check_envelope, CampaignTotals};
+    use crate::schedule::run_campaign;
 
     #[test]
     fn a_small_soak_survives_every_shape() {
         // One full rotation of the five shapes at the smallest machine.
-        let o = run_soak(&SoakConfig::new(4, 5, 3));
-        assert!(o.survived, "{o:?}");
-        assert_eq!(o.completed_cycles, 5, "{o:?}");
-        assert_eq!(o.violations, 0, "{o:?}");
-        assert_eq!(o.unrecovered, 0, "{o:?}");
-        assert!(o.stats.evictions >= 4, "every halt shape evicts: {o:?}");
+        let outcomes = run_campaign(soak_schedules(&SoakConfig::new(4, 5, 3)));
+        assert!(check_envelope(&outcomes).is_empty(), "{outcomes:?}");
+        let t = CampaignTotals::of(&outcomes);
+        assert_eq!(t.completed, 5, "{t:?}");
+        assert_eq!(t.violations, 0, "{t:?}");
+        assert_eq!(t.unrecovered, 0, "{t:?}");
+        assert!(t.stats.evictions >= 4, "every halt shape evicts: {t:?}");
         assert!(
-            o.stats.self_fences >= 1,
-            "the wrongful cycle self-fences: {o:?}"
+            t.stats.self_fences >= 1,
+            "the wrongful cycle self-fences: {t:?}"
         );
-        assert!(o.stats.ops_retried >= 1, "the failop cycle retries: {o:?}");
-        assert!(o.ops >= 5 * 12, "{o:?}");
+        assert!(t.stats.ops_retried >= 1, "the failop cycle retries: {t:?}");
+        assert!(t.ops >= 5 * 12, "{t:?}");
     }
 
     #[test]
     fn soak_replays_bit_identically() {
-        let a = run_soak(&SoakConfig::new(4, 5, 9));
-        let b = run_soak(&SoakConfig::new(4, 5, 9));
+        let cfg = SoakConfig::new(4, 5, 9);
+        let a = run_campaign(soak_schedules(&cfg));
+        let b = run_campaign(soak_schedules(&cfg));
         assert_eq!(a, b, "a soak must replay exactly");
     }
 
@@ -324,20 +219,36 @@ mod tests {
     fn injected_exhaustion_turns_the_soak_red() {
         let mut cfg = SoakConfig::new(4, 1, 3);
         cfg.inject_exhaustion = true;
-        let o = run_soak(&cfg);
-        assert!(!o.survived, "{o:?}");
-        assert!(o.stats.retries_exhausted >= 1, "{o:?}");
-        let json = soak_json(&o);
-        assert!(json.contains("\"survived\": false"), "{json}");
-        assert!(json.contains("soak-failop-exhausted"), "{json}");
+        let outcomes = run_campaign(soak_schedules(&cfg));
+        assert_eq!(outcomes.len(), 2);
+        let failures = check_envelope(&outcomes);
+        assert_eq!(failures.len(), 1, "{failures:?}");
+        assert!(
+            failures[0].contains("soak-failop-exhausted"),
+            "{failures:?}"
+        );
+        assert!(CampaignTotals::of(&outcomes).stats.retries_exhausted >= 1);
+        let json = campaign_json("soak", &outcomes, &failures);
+        assert!(json.contains("\"green\": false"), "{json}");
     }
 
     #[test]
-    fn soak_json_round_trips_the_verdict() {
-        let o = run_soak(&SoakConfig::new(4, 2, 3));
-        let json = soak_json(&o);
-        assert!(json.contains("\"cpus\": 4"), "{json}");
-        assert!(json.contains("\"survived\": true"), "{json}");
+    fn a_spent_duration_runs_one_cycle_then_the_planted_one() {
+        let cfg = SoakConfig {
+            duration: Some(Duration::ZERO),
+            inject_exhaustion: true,
+            ..SoakConfig::new(8, 5, 3)
+        };
+        let names: Vec<String> = soak_schedules(&cfg).map(|s| s.name).collect();
+        assert_eq!(names, ["soak-halt", "soak-failop-exhausted"]);
+    }
+
+    #[test]
+    fn soak_rows_carry_the_rotation() {
+        let outcomes = run_campaign(soak_schedules(&SoakConfig::new(4, 2, 3)));
+        let json = campaign_json("soak", &outcomes, &check_envelope(&outcomes));
+        assert!(json.contains("\"campaign\": \"soak\""), "{json}");
+        assert!(json.contains("\"green\": true"), "{json}");
         assert!(json.contains("\"plan\": \"soak-halt\""), "{json}");
         assert!(json.contains("\"plan\": \"soak-offline-revive\""), "{json}");
     }

@@ -33,7 +33,11 @@
 #                        survive, beyond-envelope plans are caught; the
 #                        survival table lands in target/machtlb-chaos.txt
 #                        and the machine-readable outcome matrix in
-#                        target/machtlb-chaos.json, both uploaded by CI)
+#                        target/machtlb-chaos.json, both uploaded by CI.
+#                        A second run on an uneven 2-node machine with a
+#                        slow interconnect writes
+#                        target/machtlb-chaos-numa.json, so the path that
+#                        carries the topology into every row runs too)
 #   8. soak smoke       (machtlb soak --smoke: one full rotation of the
 #                        five compound-fault shapes — halt,
 #                        offline/revive, wrongful eviction, two-halt,
@@ -145,6 +149,9 @@ echo "==> chaos smoke (two-sided envelope, fail-stop recovery)"
 cargo run --release --quiet --bin machtlb -- chaos \
     --cpus 4 --seeds 2 --out target/machtlb-chaos.txt \
     --json target/machtlb-chaos.json
+cargo run --release --quiet --bin machtlb -- chaos \
+    --cpus 8 --seeds 1 --nodes 2 --node-cpus 3 --remote-latency 20 \
+    --json target/machtlb-chaos-numa.json
 
 echo "==> soak smoke (compound-fault rotation through the membership fence)"
 cargo run --release --quiet --bin machtlb -- soak --smoke on \

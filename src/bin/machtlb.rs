@@ -8,13 +8,15 @@
 //! machtlb scaling
 //! ```
 
+use std::io::Write as _;
 use std::process::ExitCode;
 
 use machtlb::bench::{compare_reports, diff_reports, parse_report};
 use machtlb::core::{
-    check_envelope, fuzz_json, parse_schedule, plan_catalog, run_chaos, run_fuzz, run_schedule,
-    run_soak, schedule_json, shrink, soak_json, survival_json, ChaosConfig, FuzzConfig,
-    KernelConfig, SoakConfig, Strategy, Survival, MAX_SCHEDULE_CPUS,
+    campaign_json, chaos_schedules, check_envelope, fuzz_schedules, is_red, parse_schedule,
+    run_campaign, run_schedule, schedule_json, shrink, soak_schedules, CampaignTotals,
+    ChaosOutcome, Coverage, FaultSchedule, FuzzConfig, KernelConfig, SoakConfig, Strategy,
+    Survival, MAX_SCHEDULE_CPUS,
 };
 use machtlb::pmap::{SHARD_GRANULE, VPN_SPAN};
 use machtlb::sim::{BusOp, CostModel, Dur, Time, Topology};
@@ -93,13 +95,18 @@ word and page table is remote.
 against the committed file of the same name under --baseline, failing if
 a headline number drifts more than --tolerance percent (default 30).
 
+`chaos`, `soak` and `fuzz` are campaigns: each only generates fault
+schedules, and all three run them through the `replay` runner and
+report them the same way — one outcome table, one `--json` schema
+whose every row carries its schedule, and one exit rule (below).
+
 `soak` cycles halt, offline/revive, wrongful-eviction, compound-halt,
 and FailOp dead-holder shapes through the membership fence with the
 consistency checker on throughout; `--smoke on` clamps the run to a CI
-time budget, and `--inject-exhaustion on` appends a beyond-envelope
-cycle with a zero FailOp restart budget, which must turn the exit red.
-`--duration DUR` (500ms, 30s, 5m, 1h) keeps rotating cycles until the
-wall-clock budget is spent instead of counting to `--cycles`.
+time budget, and `--inject-exhaustion on` appends a planted cycle with
+a zero FailOp restart budget, declared tolerable, which must turn the
+exit red. `--duration DUR` (500ms, 30s, 5m, 1h) keeps rotating cycles
+until the wall-clock budget is spent instead of counting to `--cycles`.
 
 `fuzz` runs a seeded campaign of generated fault schedules (timed
 halts, offline/revive, responder stalls, IPI delay/drop/duplicate/
@@ -110,22 +117,46 @@ the first caught schedule is minimized by delta debugging
 (`--shrink on`, the default, bounded by `--max-replays`) and written
 to `--repro` (default repro.json) ready for `machtlb replay
 --schedule FILE`, which re-runs one serialized schedule bit-identically
-and exits 1 if it is caught. `--json FILE` archives the campaign's
-coverage artifact either way; `--smoke on` is the CI preset (a small
+and exits 1 if it is caught. `--smoke on` is the CI preset (a small
 budget on a small machine).
 
 EXIT CODES:
-    0  the command succeeded; for `chaos`, the two-sided envelope check
-       was green (every tolerable plan survived, every beyond-envelope
-       plan was caught); for `soak`, every cycle completed with zero
-       violations, unrecovered give-ups, and exhausted retries
-    1  bad arguments, an inconsistency, or — for `chaos`/`soak`/`fuzz`/
-       `replay` — a failed verdict; `--json FILE` (and `fuzz`'s
-       `--repro FILE`) are still written in this case, so CI can
-       archive the red run it is about to fail on
+    0  the command succeeded; for a campaign (`chaos`, `soak`, `fuzz`),
+       every run landed on its side of the envelope: each tolerable
+       schedule survived and each beyond-envelope schedule was caught;
+       for `replay`, the schedule survived
+    1  bad arguments (printed with this text); an inconsistency; a
+       campaign run on the wrong side of its envelope; or a `replay`
+       that was caught. `--json FILE` (and `fuzz`'s `--repro FILE`)
+       are still written, so CI can archive the red run it fails on
 
 Every run prints its consistency verdict: the oracle checks the paper's
 guarantee on every translated access.";
+
+/// Every `println!` in this binary is this one: `std`'s, except that a
+/// closed stdout is ignored instead of panicking, so a reader that stops
+/// early (`machtlb chaos | head -1`) ends the run quietly and the exit
+/// code still reports the verdict.
+macro_rules! println {
+    ($($arg:tt)*) => {{
+        let _ = writeln!(std::io::stdout(), $($arg)*);
+    }};
+}
+
+/// Why a command failed. Only bad arguments are answered with the usage
+/// text; a run that fails its own check prints just its error.
+enum Failure {
+    /// Bad arguments or unusable input.
+    Usage(String),
+    /// The run itself failed: a red verdict or an inconsistency.
+    Run(String),
+}
+
+impl From<String> for Failure {
+    fn from(e: String) -> Failure {
+        Failure::Usage(e)
+    }
+}
 
 /// A minimal flag parser: `--name value` pairs after the positionals.
 struct Args {
@@ -576,14 +607,11 @@ fn bus_table(bus: &machtlb::sim::BusStats) -> TextTable {
     t
 }
 
-fn cmd_fig2(args: &Args) -> Result<(), String> {
+fn cmd_fig2(args: &Args) -> Result<(), Failure> {
     let cpus = cpus_flag(args, 16, 2, "fig2")?;
     let max_k = args.num_u32("max-k", (cpus - 1).min(15) as u32)?;
     if max_k == 0 || max_k as usize >= cpus {
-        return Err(format!(
-            "--max-k: need 1 to {} on {cpus} processors",
-            cpus - 1
-        ));
+        return Err(format!("--max-k: need 1 to {} on {cpus} processors", cpus - 1).into());
     }
     let runs = args.count("runs", 5)?;
     println!("basic shootdown cost, k = 1..={max_k} on {cpus} processors, {runs} runs each");
@@ -600,7 +628,7 @@ fn cmd_fig2(args: &Args) -> Result<(), String> {
                 },
             );
             if out.mismatch || !out.report.consistent {
-                return Err(format!("k={k} seed={seed}: inconsistency!"));
+                return Err(Failure::Run(format!("k={k} seed={seed}: inconsistency!")));
             }
             samples.push(out.shootdown.expect("shootdown").elapsed.as_micros_f64());
         }
@@ -619,7 +647,7 @@ fn cmd_fig2(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_scaling(args: &Args) -> Result<(), String> {
+fn cmd_scaling(args: &Args) -> Result<(), Failure> {
     let upto = args.machine_size("upto", 128)?;
     let base_kconfig =
         apply_residency_flag(args, apply_delivery_flags(args, KernelConfig::default())?)?;
@@ -657,7 +685,7 @@ fn cmd_scaling(args: &Args) -> Result<(), String> {
             },
         );
         if out.mismatch || !out.report.consistent {
-            return Err(format!("n={n}: inconsistency!"));
+            return Err(Failure::Run(format!("n={n}: inconsistency!")));
         }
         println!(
             "  {n:>4} processors: {:>8.0} us  (paper line: {:>6.0})",
@@ -672,7 +700,7 @@ fn cmd_scaling(args: &Args) -> Result<(), String> {
 
 /// Runs a workload with the flight recorder on, writes the Chrome
 /// trace-event JSON, and prints the per-phase latency table.
-fn cmd_trace(args: &Args) -> Result<(), String> {
+fn cmd_trace(args: &Args) -> Result<(), Failure> {
     let workload = args.get("workload").unwrap_or("machbuild");
     let strategy = args.get("strategy").unwrap_or("shootdown");
     let cpus = cpus_flag(args, 16, app_min_cpus(workload), workload)?;
@@ -710,13 +738,14 @@ fn cmd_trace(args: &Args) -> Result<(), String> {
             )
             .report
         }
-        other => return Err(format!("unknown workload: {other}")),
+        other => return Err(format!("unknown workload: {other}").into()),
     };
     let events = &report.trace;
-    check_monotone_per_cpu(events).map_err(|e| format!("trace not monotone: {e}"))?;
-    let validated = validate_spans(events).map_err(|e| format!("span validation failed: {e}"))?;
+    let failed = |what: &str, e| Failure::Run(format!("{what}: {e}"));
+    check_monotone_per_cpu(events).map_err(|e| failed("trace not monotone", e))?;
+    let validated = validate_spans(events).map_err(|e| failed("span validation failed", e))?;
     let json = chrome_trace_json(events, report.n_cpus);
-    validate_chrome_trace(&json).map_err(|e| format!("exporter produced bad JSON: {e}"))?;
+    validate_chrome_trace(&json).map_err(|e| failed("exporter produced bad JSON", e))?;
     std::fs::write(&out_path, &json).map_err(|e| format!("write {out_path}: {e}"))?;
     let spans = assemble_spans(events);
     println!(
@@ -795,7 +824,7 @@ fn cmd_trace(args: &Args) -> Result<(), String> {
     let h = Histogram::of(&totals);
     if h.count() > 0 {
         println!("whole-span latency distribution ({} spans):", h.count());
-        print!("{}", h.render(40));
+        let _ = write!(std::io::stdout(), "{}", h.render(40));
     }
     println!("oracle: {}", verdict(&report));
     Ok(())
@@ -889,10 +918,10 @@ fn cmd_storm(args: &Args) -> Result<(), String> {
 /// each headline number. Baseline files with no current counterpart are
 /// reported (the bench stopped emitting); current files with no baseline
 /// pass (the trajectory growing).
-fn cmd_bench_check(args: &Args) -> Result<(), String> {
+fn cmd_bench_check(args: &Args) -> Result<(), Failure> {
     let baseline_dir = args
         .get("baseline")
-        .ok_or("bench-check needs --baseline DIR")?;
+        .ok_or_else(|| "bench-check needs --baseline DIR".to_string())?;
     let current_dir = args.get("current").unwrap_or(".");
     let tolerance = args.num("tolerance", 30)? as f64 / 100.0;
     let mut names: Vec<String> = std::fs::read_dir(baseline_dir)
@@ -903,7 +932,7 @@ fn cmd_bench_check(args: &Args) -> Result<(), String> {
         .collect();
     names.sort();
     if names.is_empty() {
-        return Err(format!("no BENCH_*.json baselines under {baseline_dir}"));
+        return Err(format!("no BENCH_*.json baselines under {baseline_dir}").into());
     }
     let mut bad = Vec::new();
     let mut checked = 0usize;
@@ -948,11 +977,11 @@ fn cmd_bench_check(args: &Args) -> Result<(), String> {
         bad.extend(failures);
     }
     if !bad.is_empty() {
-        return Err(format!(
+        return Err(Failure::Run(format!(
             "bench envelope (±{:.0}%) violated:\n  {}",
             tolerance * 100.0,
             bad.join("\n  ")
-        ));
+        )));
     }
     println!(
         "bench envelope green: {checked} metrics across {} benches within ±{:.0}%",
@@ -962,34 +991,20 @@ fn cmd_bench_check(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Sweeps the chaos catalog across seeds, prints (and optionally writes)
-/// the survival table, and fails — with a nonzero exit — if any outcome
-/// lands on the wrong side of the tolerable envelope: a tolerable plan
-/// caught fatal, or a beyond-envelope plan passing silently.
-fn cmd_chaos(args: &Args) -> Result<(), String> {
-    let cpus = cpus_flag(args, 8, 4, "chaos")?;
-    let n_seeds = args.count("seeds", 3)?;
-    let rounds = args.count("rounds", 3)?;
-    let seeds: Vec<u64> = (1..=n_seeds).collect();
-    let plans = plan_catalog(cpus);
-    println!(
-        "chaos: {} plans x {} seeds on {cpus} processors, {rounds} shootdown rounds each",
-        plans.len(),
-        seeds.len()
-    );
-    if let Some(line) = topology_line(&apply_topology_flags(args, cpus, KernelConfig::default())?) {
-        println!("{line}");
-    }
-    let mut outcomes = Vec::new();
-    for plan in plans {
-        for &seed in &seeds {
-            let mut cfg = ChaosConfig::scaled(cpus, seed, Some(plan.clone()));
-            cfg.rounds = rounds;
-            cfg.kconfig = apply_topology_flags(args, cpus, cfg.kconfig.clone())?;
-            outcomes.push(run_chaos(&cfg));
-        }
-    }
+/// Runs a campaign's schedules through the one engine and reports them
+/// the same way for every preset: the outcome table (`--out` writes it),
+/// the totals, recovery counters and coverage, a diagnosis of the first
+/// incomplete run, and the campaign JSON (`--json`, written in both
+/// verdicts so CI can archive the red run it is about to fail on).
+/// Returns the outcomes and the envelope failures for [`envelope_verdict`].
+fn campaign(
+    args: &Args,
+    name: &str,
+    schedules: impl IntoIterator<Item = FaultSchedule>,
+) -> Result<(Vec<ChaosOutcome>, Vec<String>), String> {
+    let outcomes = run_campaign(schedules);
     let mut t = TextTable::new(vec![
+        "run",
         "plan",
         "envelope",
         "cpus",
@@ -1002,10 +1017,17 @@ fn cmd_chaos(args: &Args) -> Result<(), String> {
         "faults",
         "end (ms)",
     ]);
-    for o in &outcomes {
+    // A long campaign (a 200-schedule fuzz, an hour of soak) keeps every
+    // row on the wrong side of its envelope and a sample of the rest.
+    let sampled = outcomes.len() > 64;
+    for (i, o) in outcomes.iter().enumerate() {
+        if sampled && !o.off_envelope() && i % 25 != 0 {
+            continue;
+        }
         let recovered = o.stats.evictions + o.stats.fenced_rejoins + o.stats.locks_stolen;
         t.add_row(vec![
-            o.plan().into(),
+            i.to_string(),
+            if o.plan().is_empty() { "-" } else { o.plan() }.into(),
             if o.tolerable() { "tolerable" } else { "beyond" }.into(),
             o.n_cpus.to_string(),
             o.seed.to_string(),
@@ -1024,6 +1046,32 @@ fn cmd_chaos(args: &Args) -> Result<(), String> {
         std::fs::write(path, &table).map_err(|e| format!("write {path}: {e}"))?;
         println!("wrote {path}");
     }
+    let totals = CampaignTotals::of(&outcomes);
+    println!(
+        "totals: {} runs, {} completed, {} pmap operations, {} violations, {} unrecovered give-ups",
+        outcomes.len(),
+        totals.completed,
+        totals.ops,
+        totals.violations,
+        totals.unrecovered
+    );
+    println!("recovery: {}", totals.stats.hardening_line());
+    let c = Coverage::of(&outcomes);
+    println!(
+        "coverage: {} schedules, {} events ({} wrongful stalls); victims \
+         relay={} holder={} initiator={} rejoiner={}; survivals \
+         tolerated={} degraded={} detected-fatal={}",
+        c.schedules,
+        c.events,
+        c.wrongful_stalls,
+        c.relay_victims,
+        c.holder_victims,
+        c.initiator_victims,
+        c.rejoiner_victims,
+        c.survivals[0],
+        c.survivals[1],
+        c.survivals[2],
+    );
     if let Some(o) = outcomes.iter().find(|o| !o.completed) {
         if let Some(r) = &o.report {
             println!(
@@ -1034,16 +1082,28 @@ fn cmd_chaos(args: &Args) -> Result<(), String> {
             println!("{r}");
         }
     }
-    let bad = check_envelope(&outcomes);
-    // The machine-readable artifact is written in both verdicts, so CI
-    // can archive the red run it is about to fail on.
+    let failures = check_envelope(&outcomes);
     if let Some(path) = args.get("json") {
-        let json = survival_json(&outcomes, &bad);
+        let json = campaign_json(name, &outcomes, &failures);
         std::fs::write(path, &json).map_err(|e| format!("write {path}: {e}"))?;
         println!("wrote {path}");
     }
-    if !bad.is_empty() {
-        return Err(format!("chaos envelope violated:\n  {}", bad.join("\n  ")));
+    Ok((outcomes, failures))
+}
+
+/// The one exit rule of every campaign: green iff no row landed on the
+/// wrong side of its envelope — a tolerable schedule caught fatal, or a
+/// beyond-envelope schedule passing silently.
+fn envelope_verdict(
+    name: &str,
+    outcomes: &[ChaosOutcome],
+    failures: &[String],
+) -> Result<(), Failure> {
+    if !failures.is_empty() {
+        return Err(Failure::Run(format!(
+            "{name} envelope violated:\n  {}",
+            failures.join("\n  ")
+        )));
     }
     let fatal = outcomes
         .iter()
@@ -1056,10 +1116,27 @@ fn cmd_chaos(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Runs the multi-fault soak harness: rotating fault shapes cycled
-/// through the membership fence with the consistency checker on, failing
-/// — with a nonzero exit — unless every cycle completed with zero
-/// violations, zero unrecovered give-ups, and zero exhausted retries.
+/// The chaos preset: the catalog across seeds, with the rounds and the
+/// topology flags stamped into every schedule.
+fn cmd_chaos(args: &Args) -> Result<(), Failure> {
+    let cpus = cpus_flag(args, 8, 4, "chaos")?;
+    let n_seeds = args.count("seeds", 3)?;
+    let rounds = args.count("rounds", 3)?;
+    let seeds: Vec<u64> = (1..=n_seeds).collect();
+    let kconfig = apply_topology_flags(args, cpus, KernelConfig::default())?;
+    let schedules = chaos_schedules(cpus, &seeds, rounds, kconfig.topology);
+    println!(
+        "chaos: {} plans x {} seeds on {cpus} processors, {rounds} shootdown rounds each",
+        schedules.len() / seeds.len(),
+        seeds.len()
+    );
+    if let Some(line) = topology_line(&kconfig) {
+        println!("{line}");
+    }
+    let (outcomes, failures) = campaign(args, "chaos", schedules)?;
+    envelope_verdict("chaos", &outcomes, &failures)
+}
+
 /// Parses a wall-clock duration flag: a bare number is seconds, and the
 /// suffixes `ms`, `s`, `m`, `h` select the unit (`500ms`, `30s`, `5m`,
 /// `1h`).
@@ -1080,7 +1157,9 @@ fn parse_duration(v: &str) -> Result<std::time::Duration, String> {
     Ok(std::time::Duration::from_millis(millis))
 }
 
-fn cmd_soak(args: &Args) -> Result<(), String> {
+/// The soak preset: rotating fault shapes cycled through the membership
+/// fence with the consistency checker on, by count or by wall clock.
+fn cmd_soak(args: &Args) -> Result<(), Failure> {
     let smoke = args.on_off("smoke", false)?;
     let mut cpus = cpus_flag(args, 32, 4, "soak")?;
     let mut cycles = args.num("cycles", 5)?;
@@ -1088,7 +1167,9 @@ fn cmd_soak(args: &Args) -> Result<(), String> {
     let mut rounds = args.count("rounds", 3)?;
     let duration = args.get("duration").map(parse_duration).transpose()?;
     if cycles == 0 && duration.is_none() {
-        return Err("--cycles: need at least 1 (or a --duration)".into());
+        return Err("--cycles: need at least 1 (or a --duration)"
+            .to_string()
+            .into());
     }
     if smoke {
         // The CI-budget preset: one full shape rotation on the smallest
@@ -1108,62 +1189,18 @@ fn cmd_soak(args: &Args) -> Result<(), String> {
     println!(
         "soak: {span} on {cpus} processors, {rounds} rounds each{}",
         if cfg.inject_exhaustion {
-            " + one injected-exhaustion cycle"
+            " + one planted exhaustion cycle"
         } else {
             ""
         }
     );
-    let o = run_soak(&cfg);
-    let mut t = TextTable::new(vec![
-        "cycle",
-        "plan",
-        "seed",
-        "survival",
-        "completed",
-        "violations",
-        "unrecovered",
-    ]);
-    for c in &o.log {
-        t.add_row(vec![
-            c.cycle.to_string(),
-            c.plan.clone(),
-            c.seed.to_string(),
-            c.survival.name().into(),
-            c.completed.to_string(),
-            c.violations.to_string(),
-            c.unrecovered.to_string(),
-        ]);
-    }
-    let table = t.to_string();
-    println!("{table}");
-    println!("recovery: {}", o.stats.hardening_line());
-    if let Some(path) = args.get("out") {
-        std::fs::write(path, &table).map_err(|e| format!("write {path}: {e}"))?;
-        println!("wrote {path}");
-    }
-    // The machine-readable artifact is written in both verdicts, so CI
-    // can archive the red run it is about to fail on.
-    if let Some(path) = args.get("json") {
-        let json = soak_json(&o);
-        std::fs::write(path, &json).map_err(|e| format!("write {path}: {e}"))?;
-        println!("wrote {path}");
-    }
-    if !o.survived {
-        return Err(format!(
-            "soak failed: {}/{} cycles completed, {} violations, {} unrecovered \
-             give-ups, {} exhausted retries",
-            o.completed_cycles, o.cycles, o.violations, o.unrecovered, o.stats.retries_exhausted
-        ));
-    }
-    println!(
-        "soak survived: {} cycles, {} pmap operations, zero violations, \
-         zero unrecovered give-ups",
-        o.completed_cycles, o.ops
-    );
-    Ok(())
+    let (outcomes, failures) = campaign(args, "soak", soak_schedules(&cfg))?;
+    envelope_verdict("soak", &outcomes, &failures)
 }
 
-fn cmd_fuzz(args: &Args) -> Result<(), String> {
+/// The fuzz preset: a seeded campaign of generated schedules. A red run
+/// is shrunk and written to `--repro` before the verdict fails.
+fn cmd_fuzz(args: &Args) -> Result<(), Failure> {
     let smoke = args.on_off("smoke", false)?;
     let seed = args.num("seed", 1)?;
     let mut budget = args.count("budget", 200)?;
@@ -1181,11 +1218,16 @@ fn cmd_fuzz(args: &Args) -> Result<(), String> {
         rounds = rounds.min(2);
     }
     if cpus != 0 && cpus < 6 {
-        return Err("fuzz needs at least 6 processors (or --cpus 0 to rotate)".into());
+        return Err("fuzz needs at least 6 processors (or --cpus 0 to rotate)"
+            .to_string()
+            .into());
     }
-    let mut cfg = FuzzConfig::new(seed, budget);
-    cfg.n_cpus = cpus;
-    cfg.rounds = rounds;
+    let cfg = FuzzConfig {
+        seed,
+        budget,
+        n_cpus: cpus,
+        rounds,
+    };
     println!(
         "fuzz: {budget} schedules from seed {seed} on {} processors, {rounds} rounds each",
         if cpus == 0 {
@@ -1194,81 +1236,42 @@ fn cmd_fuzz(args: &Args) -> Result<(), String> {
             cpus.to_string()
         }
     );
-    let r = run_fuzz(&cfg);
-    let mut t = TextTable::new(vec![
-        "run", "cpus", "seed", "events", "victims", "survival", "red",
-    ]);
-    for run in &r.runs {
-        // The full table would drown a 200-schedule campaign: keep every
-        // red and a sample of the greens.
-        if !run.red && r.runs.len() > 24 && run.index % 25 != 0 {
-            continue;
-        }
-        t.add_row(vec![
-            run.index.to_string(),
-            run.n_cpus.to_string(),
-            run.machine_seed.to_string(),
-            run.events.to_string(),
-            run.victims.to_string(),
-            run.survival.name().into(),
-            run.red.to_string(),
-        ]);
-    }
-    println!("{t}");
-    let c = &r.coverage;
-    println!(
-        "coverage: {} schedules, {} events ({} wrongful stalls); victims \
-         relay={} holder={} initiator={} rejoiner={}; survivals \
-         tolerated={} degraded={} detected-fatal={}",
-        c.schedules,
-        c.events,
-        c.wrongful_stalls,
-        c.relay_victims,
-        c.holder_victims,
-        c.initiator_victims,
-        c.rejoiner_victims,
-        c.survivals[0],
-        c.survivals[1],
-        c.survivals[2],
-    );
-    if let Some(path) = args.get("json") {
-        std::fs::write(path, fuzz_json(&r)).map_err(|e| format!("write {path}: {e}"))?;
-        println!("wrote {path}");
-    }
-    if r.reds == 0 {
-        println!("fuzz green: {budget} schedules survived with recovery enabled");
-        return Ok(());
-    }
+    let (outcomes, failures) = campaign(args, "fuzz", fuzz_schedules(&cfg))?;
     // A finding: minimize the first caught schedule and leave a repro
     // behind before failing the exit code.
-    let first = r.first_red.as_ref().expect("reds > 0 implies a first red");
-    let repro_path = args.get("repro").unwrap_or("repro.json");
-    let repro = if do_shrink {
-        let sr = shrink(first, max_replays)?;
-        println!(
-            "shrink: {} events -> {} in {} replays",
-            sr.original_events, sr.minimal_events, sr.replays
-        );
-        for step in &sr.steps {
-            println!("  - {step}");
-        }
-        sr.schedule
-    } else {
-        first.clone()
-    };
-    std::fs::write(repro_path, schedule_json(&repro))
-        .map_err(|e| format!("write {repro_path}: {e}"))?;
-    println!("wrote {repro_path}");
-    println!("replay with: machtlb replay --schedule {repro_path}");
-    Err(format!(
-        "fuzz found {} caught schedule(s) out of {budget}; first minimized to {} event(s)",
-        r.reds,
-        repro.events.len()
-    ))
+    let first_red = outcomes
+        .iter()
+        .find(|o| o.off_envelope() && is_red(o))
+        .and_then(|o| o.schedule.as_ref());
+    if let Some(first) = first_red {
+        let repro_path = args.get("repro").unwrap_or("repro.json");
+        let repro = if do_shrink {
+            let sr = shrink(first, max_replays).map_err(Failure::Run)?;
+            println!(
+                "shrink: {} events -> {} in {} replays",
+                sr.original_events, sr.minimal_events, sr.replays
+            );
+            for step in &sr.steps {
+                println!("  - {step}");
+            }
+            sr.schedule
+        } else {
+            first.clone()
+        };
+        std::fs::write(repro_path, schedule_json(&repro))
+            .map_err(|e| format!("write {repro_path}: {e}"))?;
+        println!("wrote {repro_path}");
+        println!("replay with: machtlb replay --schedule {repro_path}");
+    }
+    envelope_verdict("fuzz", &outcomes, &failures)
 }
 
-fn cmd_replay(args: &Args) -> Result<(), String> {
-    let path = args.get("schedule").ok_or("replay needs --schedule FILE")?;
+/// Replays one serialized schedule. Not a campaign: it reproduces a
+/// single run, and exits 1 while the failure lives.
+fn cmd_replay(args: &Args) -> Result<(), Failure> {
+    let path = args
+        .get("schedule")
+        .ok_or_else(|| "replay needs --schedule FILE".to_string())?;
     let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
     let s = parse_schedule(&text)?;
     println!(
@@ -1294,13 +1297,13 @@ fn cmd_replay(args: &Args) -> Result<(), String> {
     if let Some(rep) = &o.report {
         println!("{rep}");
     }
-    if machtlb::core::is_red(&o) {
-        return Err(format!(
+    if is_red(&o) {
+        return Err(Failure::Run(format!(
             "replay caught: {} ({} violations, completed={})",
             o.survival.name(),
             o.violations,
             o.completed
-        ));
+        )));
     }
     println!("replay survived (schedule is green under recovery)");
     Ok(())
@@ -1373,28 +1376,35 @@ fn main() -> ExitCode {
         }
     };
     let cmd = args.positional.first().map_or("help", String::as_str);
-    let result = check_flags(cmd, &args).and_then(|()| match cmd {
-        "tester" => cmd_tester(&args),
-        "app" => cmd_app(&args),
-        "fig2" => cmd_fig2(&args),
-        "scaling" => cmd_scaling(&args),
-        "trace" => cmd_trace(&args),
-        "storm" => cmd_storm(&args),
-        "bench-check" => cmd_bench_check(&args),
-        "chaos" => cmd_chaos(&args),
-        "soak" => cmd_soak(&args),
-        "fuzz" => cmd_fuzz(&args),
-        "replay" => cmd_replay(&args),
-        "help" => {
-            println!("{USAGE}");
-            Ok(())
+    let run = || -> Result<(), Failure> {
+        check_flags(cmd, &args)?;
+        match cmd {
+            "tester" => Ok(cmd_tester(&args)?),
+            "app" => Ok(cmd_app(&args)?),
+            "fig2" => cmd_fig2(&args),
+            "scaling" => cmd_scaling(&args),
+            "trace" => cmd_trace(&args),
+            "storm" => Ok(cmd_storm(&args)?),
+            "bench-check" => cmd_bench_check(&args),
+            "chaos" => cmd_chaos(&args),
+            "soak" => cmd_soak(&args),
+            "fuzz" => cmd_fuzz(&args),
+            "replay" => cmd_replay(&args),
+            "help" => {
+                println!("{USAGE}");
+                Ok(())
+            }
+            other => Err(format!("unknown command: {other}").into()),
         }
-        other => Err(format!("unknown command: {other}")),
-    });
-    match result {
+    };
+    match run() {
         Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
+        Err(Failure::Usage(e)) => {
             eprintln!("error: {e}\n\n{USAGE}");
+            ExitCode::FAILURE
+        }
+        Err(Failure::Run(e)) => {
+            eprintln!("error: {e}");
             ExitCode::FAILURE
         }
     }

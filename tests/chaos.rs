@@ -3,9 +3,23 @@
 //! strategy is caught on every seed of a wide machine.
 
 use machtlb::core::{
-    chaos_kconfig, chaos_matrix, check_envelope, plan_catalog, run_chaos, ChaosConfig,
-    KernelConfig, Strategy, Survival,
+    chaos_kconfig, chaos_schedules, check_envelope, plan_catalog, run_campaign, run_chaos,
+    run_schedule, ChaosConfig, FaultSchedule, KernelConfig, Strategy, Survival,
 };
+
+/// The fault-free run on `n_cpus` processors with no injector installed
+/// at all.
+fn bare(n_cpus: usize, seed: u64) -> ChaosConfig {
+    let shape = FaultSchedule {
+        seed,
+        n_cpus,
+        ..FaultSchedule::default()
+    };
+    ChaosConfig {
+        plan: None,
+        ..shape.compile()
+    }
+}
 
 /// A responder halted mid-dispatch, with and without the health monitor:
 /// the monitor's eviction turns an unrecovered watchdog give-up (caught,
@@ -18,8 +32,9 @@ fn eviction_recovers_what_a_dead_responder_costs_forever() {
         .into_iter()
         .find(|p| p.name == "halt-resp-preack")
         .expect("catalog has the pre-ack halt plan");
+    let plan = FaultSchedule { seed: 3, ..plan };
 
-    let mut unhealthy = ChaosConfig::new(4, 3, Some(plan.clone()));
+    let mut unhealthy = plan.compile();
     unhealthy.kconfig.health.enabled = false;
     let bare = run_chaos(&unhealthy);
     assert_eq!(bare.stats.evictions, 0);
@@ -30,7 +45,7 @@ fn eviction_recovers_what_a_dead_responder_costs_forever() {
         "an unabsorbed give-up must be caught, not silently survived: {bare:?}"
     );
 
-    let hardened = run_chaos(&ChaosConfig::new(4, 3, Some(plan.clone())));
+    let hardened = run_schedule(&plan);
     assert!(hardened.completed, "{hardened:?}");
     assert_eq!(hardened.survival, Survival::Degraded, "{hardened:?}");
     assert_eq!(hardened.violations, 0);
@@ -45,7 +60,7 @@ fn eviction_recovers_what_a_dead_responder_costs_forever() {
 /// headline robustness claim — a silent pass on either side fails.
 #[test]
 fn chaos_matrix_is_two_sided_green() {
-    let outcomes = chaos_matrix(4, &[1, 2, 3]);
+    let outcomes = run_campaign(chaos_schedules(4, &[1, 2, 3], 3, None));
     let bad = check_envelope(&outcomes);
     assert!(bad.is_empty(), "envelope violated:\n{}", bad.join("\n"));
     // And the matrix genuinely exercised both sides.
@@ -61,9 +76,9 @@ fn chaos_matrix_is_two_sided_green() {
 /// traffic, and verdict. Chaos runs keep the repo's replay guarantee.
 #[test]
 fn chaos_campaigns_replay_bit_identically() {
-    for plan in plan_catalog(4) {
-        let a = run_chaos(&ChaosConfig::new(4, 13, Some(plan.clone())));
-        let b = run_chaos(&ChaosConfig::new(4, 13, Some(plan.clone())));
+    for plan in chaos_schedules(4, &[13], 3, None) {
+        let a = run_schedule(&plan);
+        let b = run_schedule(&plan);
         assert_eq!(a, b, "plan {} must replay exactly", plan.name);
     }
 }
@@ -77,8 +92,11 @@ fn disabled_injection_is_simulated_time_neutral() {
         .find(|p| p.name == "none")
         .expect("catalog has the none plan");
     for seed in [1, 7, 23] {
-        let bare = run_chaos(&ChaosConfig::new(4, seed, None));
-        let none = run_chaos(&ChaosConfig::new(4, seed, Some(plan.clone())));
+        let bare = run_chaos(&bare(4, seed));
+        let none = run_schedule(&FaultSchedule {
+            seed,
+            ..plan.clone()
+        });
         assert_eq!(bare.clocks, none.clocks, "seed {seed}: clocks moved");
         assert_eq!(bare.stats, none.stats, "seed {seed}: counters moved");
         assert_eq!(bare.bus, none.bus, "seed {seed}: bus traffic moved");
@@ -99,7 +117,7 @@ fn naive_strategy_violates_on_every_seed_at_32_cpus() {
                 strategy: Strategy::NaiveFlush,
                 ..chaos_kconfig()
             },
-            ..ChaosConfig::new(32, seed, None)
+            ..bare(32, seed)
         };
         let o = run_chaos(&cfg);
         assert!(

@@ -2,7 +2,8 @@
 //! print `error: …` and exit 1 — never a panic (exit 101) from deep
 //! inside a workload.
 
-use std::process::{Command, Output};
+use std::io::Read as _;
+use std::process::{Command, Output, Stdio};
 
 fn machtlb(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_machtlb"))
@@ -126,4 +127,41 @@ fn replay_refuses_an_out_of_range_cpu() {
     let path_arg = path.to_str().expect("utf-8 temp path");
     assert_usage_error(&["replay", "--schedule", path_arg]);
     let _ = std::fs::remove_file(&path);
+}
+
+/// A failed verdict is not a usage error: a red replay prints its error
+/// without the usage text, while a bad argument still gets it.
+#[test]
+fn failed_verdicts_do_not_print_usage() {
+    let known_bad = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/data/known_bad_schedule.json"
+    );
+    let stderr = assert_usage_error(&["replay", "--schedule", known_bad]);
+    assert!(stderr.contains("error: replay caught"), "{stderr}");
+    assert!(!stderr.contains("USAGE:"), "{stderr}");
+    let stderr = assert_usage_error(&["chaos", "--seed", "3"]);
+    assert!(stderr.contains("USAGE:"), "{stderr}");
+}
+
+/// A reader that closes stdout early (`machtlb chaos | head -1`) ends
+/// the run quietly: no panic from a failed print, and the exit code is
+/// still the verdict's.
+#[test]
+fn a_closed_stdout_is_not_a_panic() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_machtlb"))
+        .args(["chaos", "--cpus", "8", "--seeds", "1"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("the machtlb binary runs");
+    let mut stdout = child.stdout.take().expect("piped stdout");
+    let mut first = [0u8; 1];
+    stdout.read_exact(&mut first).expect("the header line");
+    drop(stdout);
+    let out = child.wait_with_output().expect("the machtlb binary exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert_ne!(out.status.code(), Some(101), "{stderr}");
+    assert_eq!(out.status.code(), Some(0), "{stderr}");
 }

@@ -4,12 +4,15 @@
 //! chaos catalog and soak shapes are schedules like any other — one fault
 //! language.
 
+use std::process::{Command, Stdio};
+
 use machtlb::core::{
-    generate_schedule, is_red, offline_floor_us, parse_schedule, plan_catalog, revive_floor_us,
-    run_chaos, run_fuzz, run_schedule, schedule_from_json, schedule_json, soak_cycle_schedule,
-    soak_exhaustion_schedule, survival_json, ChaosConfig, FaultSchedule, FuzzConfig, KernelStats,
-    ScheduleEvent, SoakConfig, SplitMix64,
+    campaign_json, chaos_schedules, check_envelope, fuzz_schedules, generate_schedule, is_red,
+    offline_floor_us, parse_schedule, plan_catalog, revive_floor_us, run_campaign, run_chaos,
+    run_schedule, schedule_from_json, schedule_json, soak_schedules, ChaosOutcome, Coverage,
+    FaultSchedule, FuzzConfig, KernelStats, ScheduleEvent, SoakConfig, SplitMix64,
 };
+use machtlb::sim::{Dur, Topology};
 use machtlb::xpr::json::Json;
 use proptest::collection::vec as vec_of;
 use proptest::prelude::*;
@@ -86,10 +89,17 @@ const NAMES: [&str; 3] = ["", "a \"quoted\" name", "tab\tand back\\slash, é"];
 
 /// An arbitrary valid schedule, assembled rather than filtered: one
 /// bundle per victim slot (cpus 1..n-2), plus the singleton rules, plus
-/// the optional sabotage fields (0 draws their default).
+/// the optional sabotage and topology fields (0 draws their default).
 fn schedule_strategy() -> impl Strategy<Value = FaultSchedule> {
     (
-        (4usize..=12, 1u64..4, any::<u64>()),
+        (
+            4usize..=12,
+            1u64..4,
+            any::<u64>(),
+            1usize..3,
+            0usize..3,
+            1u64..40,
+        ),
         vec_of(bundle_strategy(), 0..=10),
         singletons_strategy(),
         (any::<bool>(), any::<bool>(), any::<bool>()),
@@ -97,7 +107,7 @@ fn schedule_strategy() -> impl Strategy<Value = FaultSchedule> {
     )
         .prop_map(
             |(
-                (n_cpus, rounds, seed),
+                (n_cpus, rounds, seed, nodes, node_cpus, remote_latency_us),
                 bundles,
                 singletons,
                 (fencing, final_ro, co_initiator),
@@ -141,7 +151,9 @@ fn schedule_strategy() -> impl Strategy<Value = FaultSchedule> {
                     seed,
                     n_cpus,
                     rounds,
-                    nodes: 1,
+                    nodes,
+                    node_cpus: (node_cpus > 0).then_some(node_cpus),
+                    remote_latency_us,
                     fanout: if n_cpus % 2 == 0 { 4 } else { 1 },
                     fencing,
                     final_ro,
@@ -213,39 +225,43 @@ proptest! {
 /// step, kept independent of the CLI.
 #[test]
 fn small_campaign_is_green() {
-    let r = run_fuzz(&FuzzConfig {
+    let outcomes = run_campaign(fuzz_schedules(&FuzzConfig {
         seed: 9,
         budget: 5,
         n_cpus: 8,
         rounds: 2,
-    });
-    assert_eq!(r.reds, 0, "{:?}", r.first_red);
-    assert_eq!(r.runs.len(), 5);
-    assert!(r.coverage.events > 0);
-    assert_eq!(r.coverage.survivals.iter().sum::<u64>(), 5);
+    }));
+    assert!(check_envelope(&outcomes).is_empty(), "{outcomes:?}");
+    assert_eq!(outcomes.len(), 5);
+    let coverage = Coverage::of(&outcomes);
+    assert!(coverage.events > 0);
+    assert_eq!(coverage.survivals.iter().sum::<u64>(), 5);
 }
 
-/// Every schedule the soak runs for `soak`: one full rotation of the
-/// five shapes, then the injected-exhaustion cycle.
-fn soak_shapes(soak: &SoakConfig) -> Vec<FaultSchedule> {
-    (0..5)
-        .map(|cycle| soak_cycle_schedule(soak, cycle))
-        .chain([soak_exhaustion_schedule(soak, 5)])
-        .collect()
+/// The 2-node machine with an uneven node size and a slow interconnect
+/// that `machtlb chaos --nodes 2 --node-cpus 3 --remote-latency 20`
+/// builds.
+fn numa_2x3() -> Option<Topology> {
+    Some(Topology::numa(2, 3, Dur::micros(20)))
 }
 
-/// One fault language: every chaos catalog entry and every soak shape
-/// (the injected-exhaustion cycle included) is a valid schedule that
-/// survives the JSON round trip without loss, at every machine size the
-/// catalog scales its timing for.
+/// One fault language: every chaos catalog entry (on a flat and on an
+/// uneven NUMA machine) and every soak shape (the planted exhaustion
+/// cycle included) is a valid schedule that survives the JSON round trip
+/// without loss, at every machine size the catalog scales its timing
+/// for.
 #[test]
 fn catalog_and_soak_shapes_round_trip_and_validate() {
     for n in [4, 8, 32] {
-        let catalog = plan_catalog(n);
-        assert_eq!(catalog.len(), 21);
-        for s in catalog
+        assert_eq!(plan_catalog(n).len(), 21);
+        let soak = SoakConfig {
+            inject_exhaustion: true,
+            ..SoakConfig::new(n, 5, 7)
+        };
+        for s in plan_catalog(n)
             .into_iter()
-            .chain(soak_shapes(&SoakConfig::new(n, 5, 7)))
+            .chain(chaos_schedules(n, &[1], 3, numa_2x3()))
+            .chain(soak_schedules(&soak))
         {
             s.validate()
                 .unwrap_or_else(|e| panic!("{} at {n} cpus: {e}", s.name));
@@ -256,15 +272,17 @@ fn catalog_and_soak_shapes_round_trip_and_validate() {
     }
 }
 
-/// A tolerable catalog entry replayed from its JSON (under the replay
-/// runner's bounds) drives the machine exactly as the chaos harness does
-/// from the in-memory catalog: same verdict, counters, and clocks.
+/// A tolerable catalog entry replayed from its JSON drives the machine
+/// exactly as the chaos harness does from the in-memory catalog: same
+/// verdict, counters, and clocks.
 #[test]
 fn round_tripped_catalog_plans_replay_like_the_chaos_harness() {
-    for plan in plan_catalog(4).into_iter().filter(|p| p.tolerable) {
-        let chaos = run_chaos(&ChaosConfig::new(4, 3, Some(plan.clone())));
-        let text = schedule_json(&FaultSchedule { seed: 3, ..plan });
-        let replayed = run_schedule(&parse_schedule(&text).expect("round trip"));
+    for plan in chaos_schedules(4, &[3], 3, None)
+        .into_iter()
+        .filter(|p| p.tolerable)
+    {
+        let chaos = run_chaos(&plan.compile());
+        let replayed = run_schedule(&parse_schedule(&schedule_json(&plan)).expect("round trip"));
         let name = replayed.plan();
         assert_eq!(replayed.survival, chaos.survival, "{name}");
         assert_eq!(replayed.stats, chaos.stats, "{name}");
@@ -273,23 +291,119 @@ fn round_tripped_catalog_plans_replay_like_the_chaos_harness() {
     }
 }
 
-/// Every beyond-envelope catalog row of a chaos survival artifact carries
-/// its schedule, and that schedule, read back out of the artifact, still
-/// replays red — any red chaos row is a `machtlb replay` input.
+/// Every row of the campaign JSON that `machtlb ARGS --json FILE`
+/// writes replays: its `schedule`, read back and run by `run_schedule`,
+/// reproduces the row's survival, counters, steps and end, and the whole
+/// outcome (KernelStats, clocks, bus) of the preset run in-process. The
+/// CLI's JSON is that in-process campaign's, byte for byte.
+fn assert_rows_replay(
+    campaign: &str,
+    args: &[&str],
+    schedules: Vec<FaultSchedule>,
+) -> Vec<ChaosOutcome> {
+    let path = std::env::temp_dir().join(format!(
+        "machtlb-rows-{}-{}.json",
+        std::process::id(),
+        args.join("_")
+    ));
+    // The CLI runs while the same campaign runs in-process.
+    let cli = Command::new(env!("CARGO_BIN_EXE_machtlb"))
+        .args(args)
+        .arg("--json")
+        .arg(&path)
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("the machtlb binary runs");
+    let original = run_campaign(schedules);
+    let out = cli.wait_with_output().expect("the machtlb binary exits");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    let text = std::fs::read_to_string(&path).expect("the campaign JSON is written");
+    let _ = std::fs::remove_file(&path);
+    let doc = Json::parse(&text).expect("valid json");
+    let rows = doc.array_field("outcomes").expect("outcomes");
+    assert_eq!(rows.len(), original.len(), "{args:?}");
+    for (row, o) in rows.iter().zip(&original) {
+        let s = schedule_from_json(row.field("schedule").expect("schedule")).expect("valid");
+        let at = format!("{args:?}: {} seed {}", s.name, s.seed);
+        let replayed = run_schedule(&s);
+        assert_eq!(
+            row.str_field("survival"),
+            Ok(replayed.survival.name()),
+            "{at}"
+        );
+        assert_eq!(row.u64_field("steps"), Ok(replayed.steps), "{at}");
+        assert_eq!(row.u64_field("end_ns"), Ok(replayed.end.as_nanos()), "{at}");
+        for (name, v) in replayed.stats.hardening() {
+            assert_eq!(row.u64_field(name), Ok(v), "{at}: {name}");
+        }
+        assert_eq!(replayed.survival, o.survival, "{at}");
+        assert_eq!(replayed.stats, o.stats, "{at}");
+        assert_eq!(replayed.clocks, o.clocks, "{at}");
+        assert_eq!(replayed.steps, o.steps, "{at}");
+        assert_eq!(replayed.end, o.end, "{at}");
+        assert_eq!(&replayed, o, "{at}");
+    }
+    let failures = check_envelope(&original);
+    assert_eq!(
+        text,
+        campaign_json(campaign, &original, &failures),
+        "{args:?}"
+    );
+    original
+}
+
+/// Every chaos row replays bit-identically from the campaign JSON — the
+/// beyond-envelope rows, which stop at the bounds, and the rows of an
+/// uneven NUMA machine included — and every beyond-envelope row still
+/// replays red: any red chaos row is a `machtlb replay` input.
 #[test]
 fn beyond_envelope_rows_replay_red_from_the_survival_json() {
-    let outcomes: Vec<_> = plan_catalog(4)
-        .into_iter()
-        .filter(|p| !p.tolerable)
-        .map(|p| run_chaos(&ChaosConfig::new(4, 3, Some(p))))
-        .collect();
-    assert_eq!(outcomes.len(), 4);
-    assert!(outcomes.iter().all(is_red));
-    let doc = Json::parse(&survival_json(&outcomes, &[])).expect("valid json");
-    for row in doc.array_field("outcomes").expect("outcomes") {
-        let s = schedule_from_json(row.field("schedule").expect("schedule")).expect("valid");
-        assert!(is_red(&run_schedule(&s)), "{} replayed green", s.name);
+    for (cpus, topology) in [("4", None), ("8", None), ("8", numa_2x3())] {
+        let mut args = vec!["chaos", "--cpus", cpus, "--seeds", "1"];
+        if topology.is_some() {
+            args.extend(["--nodes", "2", "--node-cpus", "3", "--remote-latency", "20"]);
+        }
+        let n = cpus.parse().expect("a size");
+        let outcomes = assert_rows_replay("chaos", &args, chaos_schedules(n, &[1], 3, topology));
+        assert_eq!(outcomes.len(), 21);
+        let beyond: Vec<_> = outcomes.iter().filter(|o| !o.tolerable()).collect();
+        assert_eq!(beyond.len(), 4);
+        assert!(beyond.into_iter().all(is_red), "{args:?}");
     }
+}
+
+/// The soak rotation (the planted exhaustion cycle included, whose red
+/// row fails the run) and the fuzz smoke campaign replay row for row
+/// from their campaign JSON too.
+#[test]
+fn soak_and_fuzz_rows_replay_bit_identically() {
+    let soak = SoakConfig {
+        inject_exhaustion: true,
+        ..SoakConfig::new(8, 5, 7)
+    };
+    let args = [
+        "soak",
+        "--cpus",
+        "8",
+        "--cycles",
+        "5",
+        "--inject-exhaustion",
+        "on",
+    ];
+    let outcomes = assert_rows_replay("soak", &args, soak_schedules(&soak).collect());
+    assert_eq!(outcomes.len(), 6);
+    assert_eq!(check_envelope(&outcomes).len(), 1, "the planted cycle");
+    let fuzz = FuzzConfig {
+        seed: 1,
+        budget: 8,
+        n_cpus: 8,
+        rounds: 2,
+    };
+    let args = ["fuzz", "--smoke", "on"];
+    let outcomes = assert_rows_replay("fuzz", &args, fuzz_schedules(&fuzz).collect());
+    assert_eq!(outcomes.len(), 8);
 }
 
 /// The counters a chaos artifact reports are the registry's hardening
@@ -310,12 +424,12 @@ fn survival_rows_and_the_stall_report_enumerate_the_hardening_registry() {
         "end_ns",
         "schedule",
     ];
-    let outcomes: Vec<_> = plan_catalog(4)
-        .into_iter()
-        .filter(|p| !p.tolerable)
-        .map(|p| run_chaos(&ChaosConfig::new(4, 3, Some(p))))
-        .collect();
-    let doc = Json::parse(&survival_json(&outcomes, &[])).expect("valid json");
+    let outcomes = run_campaign(
+        chaos_schedules(4, &[3], 3, None)
+            .into_iter()
+            .filter(|p| !p.tolerable),
+    );
+    let doc = Json::parse(&campaign_json("chaos", &outcomes, &[])).expect("valid json");
     let rows = doc.array_field("outcomes").expect("outcomes");
     for (row, o) in rows.iter().zip(&outcomes) {
         let Json::Obj(fields) = row else {

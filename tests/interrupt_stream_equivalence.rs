@@ -12,7 +12,7 @@
 
 use machtlb::bench::scaled_costs;
 use machtlb::core::{
-    install_kernel_handlers, plan_catalog, run_chaos_with, stall_report, ChaosConfig,
+    install_kernel_handlers, plan_catalog, run_chaos_with, stall_report, FaultSchedule,
     KernelMachine, KernelStats, Strategy, DEVICE_VECTOR, TIMER_FLUSH_VECTOR,
 };
 use machtlb::sim::{BusStats, CpuId, Dur, Machine, MachineConfig, RunStatus, Time, Vector};
@@ -253,7 +253,7 @@ fn assert_chaos_equivalent(plan_name: &str) {
         .into_iter()
         .find(|p| p.name == plan_name)
         .unwrap_or_else(|| panic!("no catalog plan {plan_name}"));
-    let cfg = ChaosConfig::scaled(n_cpus, 1, Some(plan));
+    let cfg = FaultSchedule { seed: 1, ..plan }.compile();
     let run = |background: fn(&mut KernelMachine, Dur, Time)| {
         let mut setup_rng = None;
         let (outcome, mut m) = run_chaos_with(&cfg, |m, period, until| {

@@ -16,8 +16,8 @@
 //! the space.
 
 use machtlb::core::{
-    build_kernel_machine, chaos_kconfig, evict, plan_catalog, run_chaos, ChaosConfig, KernelState,
-    ResponderProcess, ShootdownRound, Survival,
+    build_kernel_machine, chaos_kconfig, evict, plan_catalog, run_schedule, FaultSchedule,
+    KernelState, ResponderProcess, ShootdownRound, Survival,
 };
 use machtlb::pmap::{CpuSet, PageRange, Vpn};
 use machtlb::sim::{CostModel, CpuId, Ctx, Dur, Process, Step, Time, Topology};
@@ -134,12 +134,13 @@ fn wrongful_eviction_holds(n_cpus: usize, seed: u64, fanout: usize, numa: bool) 
         .into_iter()
         .find(|p| p.name == "wrongful-evict")
         .expect("catalog has the wrongful-eviction plan");
-    let mut cfg = ChaosConfig::new(n_cpus, seed, Some(plan));
-    cfg.kconfig.fanout = fanout;
-    if numa {
-        cfg.kconfig.topology = Some(Topology::numa(2, n_cpus / 2, Dur::micros(6)));
-    }
-    let o = run_chaos(&cfg);
+    let topology = numa.then(|| Topology::numa(2, n_cpus / 2, Dur::micros(6)));
+    let plan = FaultSchedule {
+        seed,
+        fanout,
+        ..plan
+    };
+    let o = run_schedule(&plan.with_topology(topology));
     assert_eq!(
         o.violations, 0,
         "fanout {fanout} numa {numa} seed {seed}: a stale ack or stale \

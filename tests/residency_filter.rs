@@ -12,7 +12,7 @@
 //! - the filter composes with fail-stop eviction and the fenced rejoin
 //!   (the PR 5 chaos catalog replays green with residency on).
 
-use machtlb::core::{check_envelope, plan_catalog, run_chaos, ChaosConfig, KernelConfig, Strategy};
+use machtlb::core::{chaos_schedules, check_envelope, run_chaos, KernelConfig, Strategy};
 use machtlb::sim::{CostModel, Time};
 use machtlb::tlb::TlbConfig;
 use machtlb::workloads::{
@@ -164,8 +164,8 @@ fn camelot_fanout_rounds_filter_and_stay_consistent() {
 #[test]
 fn chaos_catalog_survives_with_residency_on() {
     let mut outcomes = Vec::new();
-    for plan in plan_catalog(8) {
-        let mut cfg = ChaosConfig::new(8, 1, Some(plan.clone()));
+    for plan in chaos_schedules(8, &[1], 3, None) {
+        let mut cfg = plan.compile();
         cfg.kconfig.residency = true;
         let out = run_chaos(&cfg);
         if plan.tolerable {
