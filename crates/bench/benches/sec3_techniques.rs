@@ -23,7 +23,6 @@
 use machtlb_bench::{BenchMetric, BenchReport};
 use machtlb_core::{KernelConfig, Strategy};
 use machtlb_sim::{Dur, Time};
-use machtlb_tlb::{TlbConfig, WritebackPolicy};
 use machtlb_workloads::{run_machbuild, MachBuildConfig, RunConfig};
 use machtlb_xpr::TextTable;
 
@@ -35,19 +34,10 @@ fn run(
     t: &mut TextTable,
     out: &mut BenchReport,
 ) {
-    let kconfig = match strategy {
-        Strategy::TimerDelayed => KernelConfig {
-            strategy,
-            tlb: TlbConfig {
-                writeback: WritebackPolicy::Interlocked,
-                ..TlbConfig::multimax()
-            },
-            ..KernelConfig::default()
-        },
-        _ => KernelConfig {
-            strategy,
-            ..KernelConfig::default()
-        },
+    let kconfig = KernelConfig {
+        strategy,
+        tlb: strategy.multimax_tlb(),
+        ..KernelConfig::default()
     };
     let config = RunConfig {
         kconfig,

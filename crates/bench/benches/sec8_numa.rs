@@ -54,7 +54,7 @@ fn storm_config(workers: usize, cross: bool) -> MigrationStormConfig {
 
 fn run_placement(nodes: usize, workers: usize, cross: bool, seed: u64) -> MigrationOutcome {
     let kconfig = machtlb_core::KernelConfig {
-        topology: (nodes > 1).then(|| Topology::numa(nodes, N_CPUS / nodes, Dur::micros(20))),
+        topology: Topology::numa(nodes, N_CPUS / nodes, Dur::micros(20)),
         ..Default::default()
     };
     let config = RunConfig {

@@ -17,7 +17,7 @@
 
 use machtlb_bench::{concurrent_round_cost, scaled_costs, BenchMetric, BenchReport};
 use machtlb_core::{HasKernel, KernelConfig};
-use machtlb_sim::{CostModel, CpuId, Ctx, Dur, Process, Step, Time};
+use machtlb_sim::{CpuId, Ctx, Dur, Process, Step, Time};
 use machtlb_vm::HasVm;
 use machtlb_workloads::{
     build_workload_machine, run_tester, run_until_done, AppShared, KernelBufferOp, RunConfig,
@@ -83,12 +83,10 @@ impl Process<WlState, ()> for KernelActivity {
 /// processors shot).
 fn pooled_kernel_activity(pool: bool, seed: u64) -> (f64, f64) {
     let n_cpus = 64usize;
-    let mut costs = CostModel::multimax();
-    costs.bus_occupancy = costs.bus_occupancy.mul_f64(16.0 / n_cpus as f64);
     let config = RunConfig {
         n_cpus,
         seed,
-        costs,
+        costs: scaled_costs(n_cpus),
         kconfig: Default::default(),
         device_period: None,
         timer_flush_period: Dur::millis(5),

@@ -20,7 +20,6 @@
 use machtlb_bench::{BenchMetric, BenchReport};
 use machtlb_core::{KernelConfig, Strategy};
 use machtlb_sim::{Dur, Time};
-use machtlb_tlb::{ReloadPolicy, TlbConfig, WritebackPolicy};
 use machtlb_workloads::{run_tester, RunConfig, TesterConfig};
 use machtlb_xpr::{Summary, TextTable};
 
@@ -59,11 +58,7 @@ fn options() -> Vec<Option9> {
             slug: "no_stall_reload",
             kconfig: KernelConfig {
                 strategy: Strategy::NoStallSoftwareReload,
-                tlb: TlbConfig {
-                    reload: ReloadPolicy::Software,
-                    writeback: WritebackPolicy::None,
-                    ..TlbConfig::multimax()
-                },
+                tlb: Strategy::NoStallSoftwareReload.multimax_tlb(),
                 ..stock.clone()
             },
         },
@@ -72,10 +67,7 @@ fn options() -> Vec<Option9> {
             slug: "remote_invalidate",
             kconfig: KernelConfig {
                 strategy: Strategy::HardwareRemoteInvalidate,
-                tlb: TlbConfig {
-                    writeback: WritebackPolicy::Interlocked,
-                    ..TlbConfig::multimax()
-                },
+                tlb: Strategy::HardwareRemoteInvalidate.multimax_tlb(),
                 ..stock
             },
         },

@@ -19,9 +19,9 @@
 //! The full run adds Camelot on a 64-processor machine (scalable
 //! interconnect), where the acceptance bar is a >=20% IPI reduction.
 
-use machtlb_bench::{BenchMetric, BenchReport};
+use machtlb_bench::{scaled_costs, BenchMetric, BenchReport};
 use machtlb_core::KernelConfig;
-use machtlb_sim::{CostModel, Time};
+use machtlb_sim::Time;
 use machtlb_tlb::TlbConfig;
 use machtlb_workloads::{
     run_camelot, run_machbuild, AppReport, CamelotConfig, MachBuildConfig, RunConfig,
@@ -32,13 +32,10 @@ use machtlb_xpr::TextTable;
 type Workload = (&'static str, u64, fn(bool) -> AppReport);
 
 fn camelot64(residency: bool) -> AppReport {
-    let n_cpus = 64usize;
-    let mut costs = CostModel::multimax();
-    costs.bus_occupancy = costs.bus_occupancy.mul_f64(16.0 / n_cpus as f64);
     let config = RunConfig {
-        n_cpus,
+        n_cpus: 64,
         seed: 35,
-        costs,
+        costs: scaled_costs(64),
         kconfig: KernelConfig {
             residency,
             tlb: TlbConfig::multimax(),

@@ -5,59 +5,54 @@
 //! queue lock. On a 16-processor machine the stepped simulation of those
 //! loops is tolerable; at Section 8 scale (256 processors, 255 responders
 //! per shootdown) the host spends almost all of its time stepping 2350 ns
-//! spin iterations that do nothing. [`SpinMode::Event`] parks those
+//! spin iterations that do nothing. The default machine parks those
 //! processors on wait channels and charges the skipped iterations
 //! analytically, producing the *bit-identical* simulated run (the
 //! `spin_event_equivalence` suite holds that bar) at a fraction of the
 //! host cost.
 //!
 //! This harness measures that payoff directly on the Section 8 scaling
-//! point and asserts the ≥5x bar the conversion was built to clear.
+//! point, against the same machine with `Machine::set_stepped_waits` on,
+//! and asserts the ≥5x bar the conversion was built to clear.
 //! Set `MACHTLB_SMOKE=1` for a seconds-scale run (32 processors, report
 //! only — the speedup bar is meaningful at full scale and is not asserted).
 
 use std::time::Instant;
 
-use machtlb_bench::{BenchMetric, BenchReport};
-use machtlb_core::SpinMode;
-use machtlb_sim::{CostModel, Time};
-use machtlb_workloads::{run_tester, RunConfig, TesterConfig, TesterOutcome};
+use machtlb_bench::{scaled_costs, BenchMetric, BenchReport};
+use machtlb_sim::{Dur, Time};
+use machtlb_workloads::{
+    build_workload_machine, install_tester, run_app, AppReport, AppShared, RunConfig, TesterConfig,
+};
 
-/// The Section 8 scaling configuration: scalable-interconnect bus above 16
-/// processors, no device noise (mirrors `sec8_scaling`).
-fn scaled_config(n_cpus: usize, seed: u64, mode: SpinMode) -> RunConfig {
-    let mut costs = CostModel::multimax();
-    if n_cpus > 16 {
-        costs.bus_occupancy = costs.bus_occupancy.mul_f64(16.0 / n_cpus as f64);
-    }
-    let kconfig = machtlb_core::KernelConfig {
-        spin_mode: mode,
-        ..Default::default()
-    };
-    RunConfig {
+/// Runs the basic-cost tester point on the Section 8 scaling
+/// configuration (scalable-interconnect bus above 16 processors, no
+/// device noise; mirrors `sec8_scaling`), with the machine stepping every
+/// spin iteration or parking its waiters, and returns (report, host
+/// seconds).
+fn timed_point(n_cpus: usize, stepped: bool) -> (AppReport, f64) {
+    let config = RunConfig {
         n_cpus,
-        seed,
-        costs,
-        kconfig,
-        timer_flush_period: machtlb_sim::Dur::millis(5),
+        seed: 900 + n_cpus as u64,
+        costs: scaled_costs(n_cpus),
+        kconfig: Default::default(),
+        timer_flush_period: Dur::millis(5),
         device_period: None,
         limit: Time::from_micros(120_000_000),
-    }
-}
-
-/// Runs the basic-cost tester point and returns (outcome, host seconds).
-fn timed_point(n_cpus: usize, mode: SpinMode) -> (TesterOutcome, f64) {
-    let k = (n_cpus - 1) as u32;
-    let config = scaled_config(n_cpus, 900 + n_cpus as u64, mode);
+    };
     let tcfg = TesterConfig {
-        children: k,
+        children: (n_cpus - 1) as u32,
         warmup_increments: 20,
     };
     let start = Instant::now();
-    let out = run_tester(&config, &tcfg);
+    let mut m = build_workload_machine(&config, AppShared::None);
+    m.set_stepped_waits(stepped);
+    install_tester(&mut m, &tcfg);
+    let (report, _) = run_app(&mut m, config.limit);
     let host = start.elapsed().as_secs_f64();
-    assert!(!out.mismatch && out.report.consistent, "n={n_cpus}");
-    (out, host)
+    let frozen = m.shared().tester().mismatch == Some(false);
+    assert!(frozen && report.consistent, "n={n_cpus}");
+    (report, host)
 }
 
 fn main() {
@@ -66,16 +61,18 @@ fn main() {
     println!("spin-vs-event: Section 8 basic-cost point, {n_cpus} processors");
     println!();
 
-    let (stepped, stepped_s) = timed_point(n_cpus, SpinMode::Stepped);
-    let (event, event_s) = timed_point(n_cpus, SpinMode::Event);
+    let (stepped, stepped_s) = timed_point(n_cpus, true);
+    let (event, event_s) = timed_point(n_cpus, false);
 
     // The two modes must be the same simulation, not merely similar.
-    let (ss, es) = (&stepped.report, &event.report);
-    assert_eq!(ss.runtime, es.runtime, "simulated runtime must match");
-    assert_eq!(ss.stats, es.stats, "kernel stats must match");
+    assert_eq!(
+        stepped.runtime, event.runtime,
+        "simulated runtime must match"
+    );
+    assert_eq!(stepped.stats, event.stats, "kernel stats must match");
     let (sh_s, sh_e) = (
-        stepped.shootdown.expect("stepped shot"),
-        event.shootdown.expect("event shot"),
+        *stepped.user_initiators.first().expect("stepped shot"),
+        *event.user_initiators.first().expect("event shot"),
     );
     assert_eq!(sh_s, sh_e, "the measured shootdown must match");
 
@@ -110,7 +107,7 @@ fn main() {
             sh_e.elapsed.as_micros_f64(),
         )
         .counter("responders", u64::from(sh_e.processors))
-        .counter("ipis_sent", event.report.stats.ipis_sent),
+        .counter("ipis_sent", event.stats.ipis_sent),
     );
     let path = report.write().expect("bench report written");
     println!("wrote {}", path.display());

@@ -15,15 +15,11 @@
 
 use std::time::Instant;
 
-use machtlb_bench::{BenchMetric, BenchReport};
-use machtlb_sim::{CostModel, Time};
+use machtlb_bench::{scaled_costs, BenchMetric, BenchReport};
+use machtlb_sim::Time;
 use machtlb_workloads::{run_tester, RunConfig, TesterConfig, TesterOutcome};
 
 fn config(n_cpus: usize, seed: u64, traced: bool) -> RunConfig {
-    let mut costs = CostModel::multimax();
-    if n_cpus > 16 {
-        costs.bus_occupancy = costs.bus_occupancy.mul_f64(16.0 / n_cpus as f64);
-    }
     let kconfig = machtlb_core::KernelConfig {
         trace_shootdowns: traced,
         trace_capacity: 1 << 18,
@@ -32,7 +28,7 @@ fn config(n_cpus: usize, seed: u64, traced: bool) -> RunConfig {
     RunConfig {
         n_cpus,
         seed,
-        costs,
+        costs: scaled_costs(n_cpus),
         kconfig,
         timer_flush_period: machtlb_sim::Dur::millis(5),
         device_period: None,

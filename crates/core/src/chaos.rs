@@ -903,7 +903,7 @@ pub fn chaos_schedules(
     n_cpus: usize,
     seeds: &[u64],
     rounds: u64,
-    topology: Option<Topology>,
+    topology: Topology,
 ) -> Vec<FaultSchedule> {
     let mut out = Vec::new();
     for plan in plan_catalog(n_cpus) {

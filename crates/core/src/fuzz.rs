@@ -366,7 +366,7 @@ impl Coverage {
     fn absorb(&mut self, s: &FaultSchedule, survival: Survival) {
         self.schedules += 1;
         self.events += s.events.len() as u64;
-        let node_cpus = s.node_size() as u32;
+        let node_cpus = s.topology().node_cpus() as u32;
         for e in &s.events {
             let kind = Coverage::KIND_NAMES.iter().position(|&k| k == e.kind());
             self.by_kind[kind.expect("every kind is named")] += 1;

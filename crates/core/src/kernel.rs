@@ -11,7 +11,7 @@ use rand::Rng;
 
 use crate::op::lock_wait;
 use crate::responder::ResponderProcess;
-use crate::state::{HasKernel, KernelConfig, KernelState, SpinMode, SYNC_CHANNEL};
+use crate::state::{HasKernel, KernelConfig, KernelState, SYNC_CHANNEL};
 
 /// The device-interrupt vector (disk/network/clock background activity).
 pub const DEVICE_VECTOR: Vector = Vector::new(0);
@@ -43,7 +43,7 @@ pub fn build_kernel_machine(
         n_cpus,
         seed,
         costs,
-        topology: state.topology,
+        topology: state.config.topology,
     };
     let mut m = Machine::new(mconfig, state, |_| ());
     install_kernel_handlers(&mut m);
@@ -53,8 +53,6 @@ pub fn build_kernel_machine(
 /// Registers the kernel's interrupt handlers on a machine whose shared
 /// state embeds a kernel image (used by higher layers that wrap
 /// [`KernelState`] in their own state type), configured from that image.
-/// It is the one reader of [`KernelConfig::spin_mode`]: every spin site
-/// returns `Step::Block`, and the machine decides how it waits.
 pub fn install_kernel_handlers<S: HasKernel + 'static>(m: &mut Machine<S, ()>) {
     let config = &m.shared().kernel().config;
     let device_mask = if config.high_prio_ipi {
@@ -62,7 +60,6 @@ pub fn install_kernel_handlers<S: HasKernel + 'static>(m: &mut Machine<S, ()>) {
     } else {
         IntrMask::ALL_BLOCKED
     };
-    m.set_stepped_waits(config.spin_mode == SpinMode::Stepped);
     m.register_handler(SHOOTDOWN_VECTOR, IntrClass::Ipi, |s, cpu, at| {
         // The delivery instant belongs to the trace, not the handler body:
         // by the time the responder first steps, the interrupt-entry and
@@ -414,10 +411,7 @@ mod tests {
     fn timer_flush_handler_stamps_and_flushes() {
         let kconfig = KernelConfig {
             strategy: crate::Strategy::TimerDelayed,
-            tlb: machtlb_tlb::TlbConfig {
-                writeback: machtlb_tlb::WritebackPolicy::Interlocked,
-                ..machtlb_tlb::TlbConfig::multimax()
-            },
+            tlb: crate::Strategy::TimerDelayed.multimax_tlb(),
             ..KernelConfig::default()
         };
         let mut m = build_kernel_machine(2, 3, CostModel::multimax(), kconfig);
@@ -460,10 +454,7 @@ mod tests {
     fn pending_commits_mature_only_after_every_processor_flushes() {
         let kconfig = KernelConfig {
             strategy: crate::Strategy::TimerDelayed,
-            tlb: machtlb_tlb::TlbConfig {
-                writeback: machtlb_tlb::WritebackPolicy::Interlocked,
-                ..machtlb_tlb::TlbConfig::multimax()
-            },
+            tlb: crate::Strategy::TimerDelayed.multimax_tlb(),
             ..KernelConfig::default()
         };
         let mut m = build_kernel_machine(2, 5, CostModel::multimax(), kconfig);

@@ -105,7 +105,7 @@ pub use schedule::{
 pub use soak::{soak_cycle_schedule, soak_exhaustion_schedule, soak_schedules, SoakConfig};
 pub use state::{
     queue_lock_channel, FrameAllocator, HasKernel, KernelConfig, KernelState, KernelStats,
-    NodeCounters, PendingCommit, PhysMem, PmapRegistry, ShootdownRound, SpinMode, WatchdogConfig,
+    NodeCounters, PendingCommit, PhysMem, PmapRegistry, ShootdownRound, WatchdogConfig,
     WatchdogReport, SYNC_CHANNEL, WORDS_PER_PAGE,
 };
 pub use strategy::{Strategy, StrategyHardwareError};
@@ -139,7 +139,6 @@ mod tests {
     use super::*;
     use machtlb_pmap::{PageRange, Pfn, PmapId, Prot, Vaddr, Vpn};
     use machtlb_sim::{CostModel, CpuId, RunStatus, Time};
-    use machtlb_tlb::{ReloadPolicy, TlbConfig, WritebackPolicy};
 
     /// A thread bound to one processor: exits idle, attaches a user pmap,
     /// then increments a counter word in a tight loop until it takes an
@@ -861,10 +860,7 @@ mod tests {
     fn hardware_remote_invalidate_is_consistent_without_interrupts() {
         let kconfig = KernelConfig {
             strategy: Strategy::HardwareRemoteInvalidate,
-            tlb: TlbConfig {
-                writeback: WritebackPolicy::Interlocked,
-                ..TlbConfig::multimax()
-            },
+            tlb: Strategy::HardwareRemoteInvalidate.multimax_tlb(),
             ..KernelConfig::default()
         };
         let mut sc = scenario(4, kconfig, |vpn| PmapOp::Protect {
@@ -887,11 +883,7 @@ mod tests {
     fn no_stall_software_reload_is_consistent() {
         let kconfig = KernelConfig {
             strategy: Strategy::NoStallSoftwareReload,
-            tlb: TlbConfig {
-                reload: ReloadPolicy::Software,
-                writeback: WritebackPolicy::None,
-                ..TlbConfig::multimax()
-            },
+            tlb: Strategy::NoStallSoftwareReload.multimax_tlb(),
             ..KernelConfig::default()
         };
         let mut sc = scenario(4, kconfig, |vpn| PmapOp::Protect {

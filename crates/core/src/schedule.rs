@@ -325,26 +325,16 @@ impl FaultSchedule {
         if self.rounds == 0 {
             return Err("rounds must be at least 1".into());
         }
-        if self.nodes == 0 || self.fanout == 0 {
-            return Err("nodes and fanout must be at least 1".into());
+        if self.fanout == 0 {
+            return Err("fanout must be at least 1".into());
         }
-        if self.node_cpus == Some(0) {
-            return Err("node_cpus must be at least 1".into());
-        }
-        if self.nodes > 1 && self.node_size().saturating_mul(self.nodes - 1) >= self.n_cpus {
-            return Err(format!(
-                "{} nodes of {} leave no processor for the last node on {} cpus",
-                self.nodes,
-                self.node_size(),
-                self.n_cpus
-            ));
-        }
-        if self.remote_latency_us.checked_mul(1_000).is_none() {
-            return Err(format!(
-                "remote_latency_us {} overflows the clock",
-                self.remote_latency_us
-            ));
-        }
+        Topology::checked(
+            self.n_cpus,
+            self.nodes,
+            self.node_cpus,
+            self.remote_latency_us,
+        )
+        .map_err(|e| format!("topology: {e}"))?;
         if self.queue_capacity == Some(0) {
             return Err("queue_capacity must be at least 1".into());
         }
@@ -496,33 +486,30 @@ impl FaultSchedule {
         fault
     }
 
-    /// Processors per node: `node_cpus`, or the even split.
-    pub fn node_size(&self) -> usize {
-        self.node_cpus
-            .unwrap_or_else(|| self.n_cpus.div_ceil(self.nodes))
-    }
-
-    /// The machine topology the schedule describes (`None` = flat).
-    pub fn topology(&self) -> Option<Topology> {
-        (self.nodes > 1).then(|| {
-            Topology::numa(
-                self.nodes,
-                self.node_size(),
-                Dur::micros(self.remote_latency_us),
-            )
-        })
+    /// The machine topology the schedule describes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the shape is one [`FaultSchedule::validate`] refuses.
+    pub fn topology(&self) -> Topology {
+        Topology::checked(
+            self.n_cpus,
+            self.nodes,
+            self.node_cpus,
+            self.remote_latency_us,
+        )
+        .unwrap_or_else(|e| panic!("invalid schedule topology: {e}"))
     }
 
     /// The schedule on `topology`'s machine, the inverse of
-    /// [`FaultSchedule::topology`]; a flat topology (or `None`) leaves
-    /// the schedule as it is. The node size is kept only when it differs
-    /// from the even split, and the latency in whole microseconds, so an
-    /// evenly split machine at the default latency serializes exactly as
-    /// before.
-    pub fn with_topology(self, topology: Option<Topology>) -> FaultSchedule {
-        let Some(t) = topology.filter(|t| !t.is_flat()) else {
+    /// [`FaultSchedule::topology`]; a flat topology leaves the schedule
+    /// as it is. The node size is kept only when it differs from the even
+    /// split, and the latency in whole microseconds, so an evenly split
+    /// machine at the default latency serializes exactly as before.
+    pub fn with_topology(self, t: Topology) -> FaultSchedule {
+        if t.is_flat() {
             return self;
-        };
+        }
         FaultSchedule {
             nodes: t.nodes(),
             node_cpus: (t.node_cpus() != self.n_cpus.div_ceil(t.nodes())).then_some(t.node_cpus()),

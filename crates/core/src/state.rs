@@ -30,26 +30,6 @@ pub struct PendingCommit {
 /// 64-bit words per 4 KiB page.
 pub const WORDS_PER_PAGE: u64 = 512;
 
-/// How the machine executes the spin sites' waits for a condition another
-/// processor changes. Every site returns `Step::Block`; the mode only
-/// decides how the scheduler runs it.
-///
-/// [`SpinMode::Stepped`] executes one scheduler step per spin iteration
-/// and serves as the oracle; [`SpinMode::Event`] parks the waiter and
-/// charges the skipped iterations analytically, making long waits O(1) in
-/// host work. Every clock, bus transaction, statistic, and trace record
-/// agrees between the two (see `machtlb_sim::event`), except where the
-/// published-round wait's excusal check reads sets it does not listen for
-/// (DESIGN.md §9).
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub enum SpinMode {
-    /// Step the spin loop iteration by iteration (the oracle).
-    Stepped,
-    /// Park waiters on wait channels; writers notify (the default).
-    #[default]
-    Event,
-}
-
 /// The wait channel guarding processor `cpu`'s action-queue lock (`0x2`
 /// key space; see `machtlb_sim::event`'s channel registry).
 pub fn queue_lock_channel(cpu: CpuId) -> WaitChannel {
@@ -237,10 +217,6 @@ pub struct KernelConfig {
     pub trace_shootdowns: bool,
     /// Per-processor flight-recorder buffer capacity, in events.
     pub trace_capacity: usize,
-    /// How spin sites wait: stepped iteration (the test oracle) or
-    /// event-driven parking (the default). Tests select the oracle here;
-    /// only `install_kernel_handlers` reads it, to set up the scheduler.
-    pub spin_mode: SpinMode,
     /// The initiator-side IPI-retry watchdog.
     pub watchdog: WatchdogConfig,
     /// The fail-stop health monitor: dead-responder eviction, dead-holder
@@ -263,12 +239,13 @@ pub struct KernelConfig {
     /// disjoint ranges of one pmap update concurrently, each shard with
     /// its own steal generation for per-shard fence-and-steal recovery.
     pub pmap_shards: usize,
-    /// The machine's processor/memory topology. `None` (the default) means
-    /// flat: one bus shared by every processor, bit-identical to the
-    /// pre-topology kernel. `Some` splits processors into nodes with
-    /// per-node buses and an inter-node interconnect; pmaps acquire a home
-    /// node and remote references pay the crossing.
-    pub topology: Option<Topology>,
+    /// The machine's processor/memory topology. Flat (the default) is one
+    /// bus shared by every processor, bit-identical to the pre-topology
+    /// kernel; [`KernelState::new`] sizes a flat topology's one node to
+    /// the machine. A multi-node topology splits processors into nodes
+    /// with per-node buses and an inter-node interconnect; pmaps acquire
+    /// a home node and remote references pay the crossing.
+    pub topology: Topology,
     /// Whether shootdown initiators consult the per-cpu TLB residency
     /// tracker to filter the IPI target set below the in-use set, and
     /// responders satisfy full pmap flushes by ASID-generation recycling.
@@ -294,13 +271,12 @@ impl Default for KernelConfig {
             responder_sample: None,
             trace_shootdowns: false,
             trace_capacity: 1 << 16,
-            spin_mode: SpinMode::default(),
             watchdog: WatchdogConfig::default(),
             health: HealthConfig::default(),
             fanout: 1,
             batch_initiators: false,
             pmap_shards: 1,
-            topology: None,
+            topology: Topology::default(),
             residency: false,
         }
     }
@@ -681,10 +657,9 @@ impl HasKernel for KernelState {
 pub struct KernelState {
     /// Number of processors.
     pub n_cpus: usize,
-    /// The configuration under test.
+    /// The configuration under test, with its topology sized to the
+    /// machine.
     pub config: KernelConfig,
-    /// The resolved topology ([`KernelConfig::topology`] or flat).
-    pub topology: Topology,
     /// Per-node counters (always at least one node).
     pub node_stats: Vec<NodeCounters>,
     /// All pmaps.
@@ -751,7 +726,8 @@ pub struct KernelState {
 }
 
 impl KernelState {
-    /// Builds the boot-time kernel image for an `n_cpus` machine.
+    /// Builds the boot-time kernel image for an `n_cpus` machine. This is
+    /// where a flat [`KernelConfig::topology`] is sized to the machine.
     ///
     /// All processors start *idle*: a processor must pass through the
     /// exit-idle protocol (draining any queued consistency actions) before
@@ -761,17 +737,18 @@ impl KernelState {
     ///
     /// Panics if the configured strategy is unsupportable on the configured
     /// TLB hardware (see [`Strategy::check_hardware`]).
-    pub fn new(n_cpus: usize, config: KernelConfig) -> KernelState {
+    pub fn new(n_cpus: usize, mut config: KernelConfig) -> KernelState {
         if let Err(e) = config.strategy.check_hardware(&config.tlb) {
             panic!("invalid kernel configuration: {e}");
         }
         assert!(config.fanout >= 1, "fanout degree must be at least 1");
         assert!(config.pmap_shards >= 1, "pmap_shards must be at least 1");
-        let topology = config.topology.unwrap_or_else(|| Topology::flat(n_cpus));
+        if config.topology.is_flat() {
+            config.topology = Topology::flat(n_cpus);
+        }
         KernelState {
             n_cpus,
-            topology,
-            node_stats: vec![NodeCounters::default(); topology.nodes()],
+            node_stats: vec![NodeCounters::default(); config.topology.nodes()],
             pmaps: PmapRegistry::new(n_cpus, config.pmap_shards),
             tlbs: (0..n_cpus).map(|_| Tlb::new(config.tlb)).collect(),
             active: CpuSet::new(n_cpus),
@@ -810,7 +787,7 @@ impl KernelState {
 
     /// The node processor `cpu` lives on.
     pub fn node_of(&self, cpu: CpuId) -> usize {
-        self.topology.node_of(cpu)
+        self.config.topology.node_of(cpu)
     }
 
     /// Whether any in-flight multicast round still awaits `cpu`'s

@@ -74,6 +74,34 @@ impl Strategy {
         matches!(self, Strategy::Shootdown | Strategy::BroadcastIpi)
     }
 
+    /// The Multimax TLB with the least change this strategy needs: stock
+    /// for the interrupt-driven strategies, interlocked writeback for
+    /// remote invalidation and timer-delayed flushing, and software reload
+    /// without writeback for the no-stall responders. The constructive
+    /// twin of [`Strategy::check_hardware`], which accepts it.
+    ///
+    /// ```
+    /// use machtlb_core::Strategy;
+    ///
+    /// let s = Strategy::NoStallSoftwareReload;
+    /// assert!(s.check_hardware(&s.multimax_tlb()).is_ok());
+    /// ```
+    pub fn multimax_tlb(self) -> TlbConfig {
+        let stock = TlbConfig::multimax();
+        match self {
+            Strategy::Shootdown | Strategy::BroadcastIpi | Strategy::NaiveFlush => stock,
+            Strategy::HardwareRemoteInvalidate | Strategy::TimerDelayed => TlbConfig {
+                writeback: WritebackPolicy::Interlocked,
+                ..stock
+            },
+            Strategy::NoStallSoftwareReload => TlbConfig {
+                reload: ReloadPolicy::Software,
+                writeback: WritebackPolicy::None,
+                ..stock
+            },
+        }
+    }
+
     /// Checks that `tlb` provides the hardware this strategy depends on.
     ///
     /// # Errors
@@ -194,6 +222,21 @@ mod tests {
         };
         assert!(Strategy::NoStallSoftwareReload.check_hardware(&ok).is_ok());
         assert!(!Strategy::NoStallSoftwareReload.responders_stall());
+    }
+
+    #[test]
+    fn every_strategy_accepts_its_multimax_tlb() {
+        for s in [
+            Strategy::Shootdown,
+            Strategy::NaiveFlush,
+            Strategy::BroadcastIpi,
+            Strategy::HardwareRemoteInvalidate,
+            Strategy::NoStallSoftwareReload,
+            Strategy::TimerDelayed,
+        ] {
+            assert!(s.check_hardware(&s.multimax_tlb()).is_ok(), "{s}");
+        }
+        assert_eq!(Strategy::Shootdown.multimax_tlb(), TlbConfig::multimax());
     }
 
     #[test]

@@ -65,7 +65,8 @@ impl Topology {
     ///
     /// # Panics
     ///
-    /// Panics if `nodes` or `node_cpus` is zero.
+    /// Panics if `nodes` or `node_cpus` is zero. Use [`Topology::checked`]
+    /// for a shape that comes from outside the program.
     pub fn numa(nodes: usize, node_cpus: usize, remote_latency: Dur) -> Topology {
         assert!(nodes >= 1, "a machine has at least one node");
         assert!(node_cpus >= 1, "a node has at least one processor");
@@ -74,6 +75,46 @@ impl Topology {
             node_cpus,
             remote_latency,
         }
+    }
+
+    /// The shape `nodes` × `node_cpus` on an `n_cpus` machine, validated:
+    /// at least one node, at least one processor per node, a last node
+    /// that is not empty, and a `remote_latency_us` that fits the clock.
+    /// `node_cpus` defaults to the even split. One node is the flat
+    /// machine, whatever the other two values say.
+    ///
+    /// # Errors
+    ///
+    /// Returns which rule the shape breaks.
+    pub fn checked(
+        n_cpus: usize,
+        nodes: usize,
+        node_cpus: Option<usize>,
+        remote_latency_us: u64,
+    ) -> Result<Topology, String> {
+        if nodes == 0 {
+            return Err("a machine has at least 1 node".into());
+        }
+        let node_cpus = node_cpus.unwrap_or_else(|| n_cpus.div_ceil(nodes));
+        if node_cpus == 0 {
+            return Err("a node has at least 1 processor".into());
+        }
+        if nodes > 1 && node_cpus.saturating_mul(nodes - 1) >= n_cpus {
+            return Err(format!(
+                "{nodes} nodes of {node_cpus} processors leave the last node \
+                 empty on {n_cpus} processors"
+            ));
+        }
+        let Some(latency_ns) = remote_latency_us.checked_mul(1_000) else {
+            return Err(format!(
+                "a remote latency of {remote_latency_us} us overflows the clock"
+            ));
+        };
+        Ok(if nodes == 1 {
+            Topology::flat(n_cpus)
+        } else {
+            Topology::numa(nodes, node_cpus, Dur::nanos(latency_ns))
+        })
     }
 
     /// Number of nodes.
@@ -132,6 +173,15 @@ impl Topology {
             let rotated = (self.node_of(t) + self.nodes - origin_node) % self.nodes;
             (rotated, t.index())
         });
+    }
+}
+
+/// The flat machine. Its one node holds a single processor until the
+/// kernel image sizes it to the machine (a flat topology always holds
+/// every processor).
+impl Default for Topology {
+    fn default() -> Topology {
+        Topology::flat(1)
     }
 }
 
@@ -267,6 +317,27 @@ mod tests {
             assert_eq!(t.node_of(CpuId::new(c)), 0);
         }
         assert_eq!(t.ipi_extra(CpuId::new(0), CpuId::new(127)), Dur::ZERO);
+    }
+
+    #[test]
+    fn checked_refuses_each_broken_rule() {
+        assert_eq!(Topology::checked(8, 1, Some(3), 9), Ok(Topology::flat(8)));
+        assert!(Topology::checked(8, 0, None, 4).is_err());
+        assert!(Topology::checked(8, 2, Some(0), 4).is_err());
+        assert!(Topology::checked(8, 1, Some(0), 4).is_err());
+        assert!(Topology::checked(8, 3, Some(4), 4).is_err());
+        assert!(Topology::checked(4, 8, None, 4).is_err());
+        assert!(Topology::checked(8, 2, Some(usize::MAX), 4).is_err());
+        assert!(Topology::checked(8, 1, None, u64::MAX / 1_000 + 1).is_err());
+        // The even split, and the last node absorbing the surplus.
+        assert_eq!(
+            Topology::checked(10, 4, None, 2),
+            Ok(Topology::numa(4, 3, Dur::micros(2)))
+        );
+        assert_eq!(
+            Topology::checked(10, 2, Some(3), 2),
+            Ok(Topology::numa(2, 3, Dur::micros(2)))
+        );
     }
 
     #[test]

@@ -177,7 +177,7 @@ pub fn build_system_machine(
         n_cpus,
         seed,
         costs,
-        topology: state.kernel.topology,
+        topology: state.kernel.config.topology,
     };
     let mut m = Machine::new(mconfig, state, |_| ());
     install_kernel_handlers(&mut m);

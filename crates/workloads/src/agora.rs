@@ -11,13 +11,13 @@
 
 use machtlb_core::{drive, Driven, MemOp};
 use machtlb_pmap::{Vaddr, Vpn, PAGE_SIZE};
-use machtlb_sim::{BlockOn, CpuId, Ctx, Dur, Process, RunStatus, Step, WaitChannel};
+use machtlb_sim::{BlockOn, CpuId, Ctx, Dur, Process, Step, WaitChannel};
 use machtlb_vm::{
     HasVm, TaskId, UserAccess, UserAccessResult, UserAccessStep, VmOp, VmOpProcess, USER_SPAN_START,
 };
 use rand::Rng;
 
-use crate::harness::{build_workload_machine, AppReport, RunConfig, WlMachine};
+use crate::harness::{build_workload_machine, run_app, AppReport, RunConfig, WlMachine};
 use crate::kernelops::KernelBufferOp;
 use crate::state::{AppShared, WlState};
 use crate::thread::{enqueue_thread, ThreadShell};
@@ -398,9 +398,7 @@ pub fn install_agora(m: &mut WlMachine, cfg: &AgoraConfig) {
 pub fn run_agora(config: &RunConfig, cfg: &AgoraConfig) -> AppReport {
     let mut m = build_workload_machine(config, AppShared::None);
     install_agora(&mut m, cfg);
-    let status =
-        crate::harness::run_until_done(&mut m, config.limit, |s| s.agora().completed_at.is_some());
-    assert_ne!(status, RunStatus::StepLimit, "agora hit the step guard");
+    let (report, status) = run_app(&mut m, config.limit);
     assert_eq!(
         m.shared().agora().runs_done,
         cfg.runs,
@@ -408,9 +406,5 @@ pub fn run_agora(config: &RunConfig, cfg: &AgoraConfig) -> AppReport {
         config.limit,
         status
     );
-    let mut report = AppReport::extract("Agora", &m);
-    if let Some(t) = m.shared().agora().completed_at {
-        report.runtime = t.duration_since(machtlb_sim::Time::ZERO);
-    }
     report
 }

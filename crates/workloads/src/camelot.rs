@@ -12,13 +12,13 @@
 
 use machtlb_core::{drive, Driven, MemOp};
 use machtlb_pmap::{PageRange, Vaddr, Vpn, PAGE_SIZE};
-use machtlb_sim::{BlockOn, CpuId, Ctx, Dur, Process, RunStatus, Step, WaitChannel};
+use machtlb_sim::{BlockOn, CpuId, Ctx, Dur, Process, Step, WaitChannel};
 use machtlb_vm::{
     HasVm, TaskId, UserAccess, UserAccessResult, UserAccessStep, VmOp, VmOpProcess, USER_SPAN_START,
 };
 use rand::Rng;
 
-use crate::harness::{build_workload_machine, AppReport, RunConfig, WlMachine};
+use crate::harness::{build_workload_machine, run_app, AppReport, RunConfig, WlMachine};
 use crate::kernelops::KernelBufferOp;
 use crate::state::{AppShared, WlState};
 use crate::thread::{enqueue_thread, ThreadShell};
@@ -493,10 +493,7 @@ pub fn install_camelot(m: &mut WlMachine, cfg: &CamelotConfig) {
 pub fn run_camelot(config: &RunConfig, cfg: &CamelotConfig) -> AppReport {
     let mut m = build_workload_machine(config, AppShared::None);
     install_camelot(&mut m, cfg);
-    let status = crate::harness::run_until_done(&mut m, config.limit, |s| {
-        s.camelot().completed_at.is_some()
-    });
-    assert_ne!(status, RunStatus::StepLimit, "camelot hit the step guard");
+    let (report, status) = run_app(&mut m, config.limit);
     let done = m.shared().camelot().tx_done;
     assert_eq!(
         done,
@@ -505,9 +502,5 @@ pub fn run_camelot(config: &RunConfig, cfg: &CamelotConfig) -> AppReport {
         config.limit,
         status
     );
-    let mut report = AppReport::extract("Camelot", &m);
-    if let Some(t) = m.shared().camelot().completed_at {
-        report.runtime = t.duration_since(machtlb_sim::Time::ZERO);
-    }
     report
 }

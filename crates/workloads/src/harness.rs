@@ -2,7 +2,9 @@
 //! measurements from them.
 
 use machtlb_core::{install_kernel_handlers, KernelConfig, KernelStats, NodeCounters};
-use machtlb_sim::{BusStats, CostModel, CpuId, Dur, FabricStats, Machine, MachineConfig, Time};
+use machtlb_sim::{
+    BusStats, CostModel, CpuId, Dur, FabricStats, Machine, MachineConfig, RunStatus, Time,
+};
 use machtlb_vm::{SystemState, VmStats};
 use machtlb_xpr::{InitiatorRecord, PmapKind, ResponderRecord, Summary, TraceEvent};
 
@@ -58,7 +60,7 @@ pub fn build_workload_machine(config: &RunConfig, app: AppShared) -> WlMachine {
         n_cpus: config.n_cpus,
         seed: config.seed,
         costs: config.costs.clone(),
-        topology: state.sys.kernel.topology,
+        topology: state.sys.kernel.config.topology,
     };
     let mut m = Machine::new(mconfig, state, |_| ());
     install_kernel_handlers(&mut m);
@@ -87,8 +89,7 @@ pub fn run_until_done(
     m: &mut WlMachine,
     limit: Time,
     mut done: impl FnMut(&WlState) -> bool,
-) -> machtlb_sim::RunStatus {
-    use machtlb_sim::RunStatus;
+) -> RunStatus {
     let chunk = Dur::millis(10);
     let mut horizon = (Time::ZERO + chunk).min(limit);
     loop {
@@ -125,6 +126,34 @@ pub fn run_until_done(
             }
         }
     }
+}
+
+/// Runs the application installed on `m` until it is
+/// [done](AppShared::is_done), the machine quiesces, or `limit` is
+/// reached, and extracts its report. The report's runtime ends at the
+/// application's own completion instant when it records one
+/// ([`AppShared::completed_at`]).
+///
+/// Returns the report and how the run stopped. Whether the application
+/// finished its work is the caller's check.
+///
+/// # Panics
+///
+/// Panics if the run hit the step guard.
+pub fn run_app(m: &mut WlMachine, limit: Time) -> (AppReport, RunStatus) {
+    let status = run_until_done(m, limit, |s| s.app.is_done());
+    let app = &m.shared().app;
+    assert_ne!(
+        status,
+        RunStatus::StepLimit,
+        "{} hit the step guard",
+        app.name()
+    );
+    let mut report = AppReport::extract(app.name(), m);
+    if let Some(t) = app.completed_at() {
+        report.runtime = t.duration_since(Time::ZERO);
+    }
+    (report, status)
 }
 
 /// Everything the paper's tables need from one application run.

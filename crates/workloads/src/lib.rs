@@ -15,8 +15,9 @@
 //!
 //! The common scheduler substrate ([`Dispatcher`], [`ThreadShell`]) binds
 //! threads to processors, follows the kernel's idle protocol, and charges
-//! context-switch costs; [`AppReport`] extracts the xpr measurements every
-//! table is built from.
+//! context-switch costs; [`run_app`] runs any installed application on a
+//! machine the caller built, and [`AppReport`] extracts the xpr
+//! measurements every table is built from.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -35,7 +36,9 @@ mod thread;
 
 pub use agora::{install_agora, run_agora, AgoraConfig, AgoraShared};
 pub use camelot::{install_camelot, run_camelot, CamelotConfig, CamelotShared};
-pub use harness::{build_workload_machine, run_until_done, AppReport, RunConfig, WlMachine};
+pub use harness::{
+    build_workload_machine, run_app, run_until_done, AppReport, RunConfig, WlMachine,
+};
 pub use kernelops::KernelBufferOp;
 pub use machbuild::{install_machbuild, run_machbuild, MachBuildConfig, MachBuildShared};
 pub use migrate::{

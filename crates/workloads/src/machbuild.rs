@@ -10,13 +10,13 @@
 
 use machtlb_core::{drive, Driven, MemOp};
 use machtlb_pmap::{Vaddr, Vpn, PAGE_SIZE};
-use machtlb_sim::{BlockOn, CpuId, Ctx, Dur, Process, RunStatus, Step, WaitChannel};
+use machtlb_sim::{BlockOn, CpuId, Ctx, Dur, Process, Step, WaitChannel};
 use machtlb_vm::{
     HasVm, TaskId, UserAccess, UserAccessResult, UserAccessStep, VmOp, VmOpProcess, USER_SPAN_START,
 };
 use rand::Rng;
 
-use crate::harness::{build_workload_machine, AppReport, RunConfig, WlMachine};
+use crate::harness::{build_workload_machine, run_app, AppReport, RunConfig, WlMachine};
 use crate::kernelops::KernelBufferOp;
 use crate::state::{AppShared, WlState};
 use crate::thread::{enqueue_thread, ThreadShell};
@@ -292,10 +292,7 @@ pub fn install_machbuild(m: &mut WlMachine, cfg: &MachBuildConfig) {
 pub fn run_machbuild(config: &RunConfig, cfg: &MachBuildConfig) -> AppReport {
     let mut m = build_workload_machine(config, AppShared::None);
     install_machbuild(&mut m, cfg);
-    let status = crate::harness::run_until_done(&mut m, config.limit, |s| {
-        s.machbuild().completed_at.is_some()
-    });
-    assert_ne!(status, RunStatus::StepLimit, "build hit the step guard");
+    let (report, status) = run_app(&mut m, config.limit);
     assert_eq!(
         m.shared().machbuild().jobs_done,
         cfg.jobs,
@@ -303,9 +300,5 @@ pub fn run_machbuild(config: &RunConfig, cfg: &MachBuildConfig) -> AppReport {
         config.limit,
         status
     );
-    let mut report = AppReport::extract("Mach", &m);
-    if let Some(t) = m.shared().machbuild().completed_at {
-        report.runtime = t.duration_since(machtlb_sim::Time::ZERO);
-    }
     report
 }

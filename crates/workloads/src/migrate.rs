@@ -23,10 +23,10 @@
 
 use machtlb_core::{drive, Driven, HasKernel, PmapOp, PmapOpProcess};
 use machtlb_pmap::{PageRange, PmapId, Prot, Vpn};
-use machtlb_sim::{CpuId, Ctx, Dur, Process, RunStatus, Step};
+use machtlb_sim::{CpuId, Ctx, Dur, Process, Step};
 use machtlb_vm::HasVm;
 
-use crate::harness::{run_until_done, AppReport, RunConfig, WlMachine};
+use crate::harness::{build_workload_machine, run_app, AppReport, RunConfig, WlMachine};
 use crate::state::{AppShared, WlState};
 use crate::thread::ThreadShell;
 
@@ -324,7 +324,7 @@ pub fn install_autonuma(m: &mut WlMachine, cpu: CpuId, cfg: AutoNumaConfig) {
 /// pinned round-robin over each node's processors, each worker attacking
 /// its own node's pmap (local mode) or the next node's (cross mode).
 pub fn install_migration_storm(m: &mut WlMachine, cfg: &MigrationStormConfig) {
-    let topology = m.shared().kernel().topology;
+    let topology = m.shared().kernel().config.topology;
     let nodes = topology.nodes();
     let node_cpus = topology.node_cpus();
     let n_cpus = m.n_cpus();
@@ -385,14 +385,9 @@ pub struct MigrationOutcome {
 ///
 /// Panics if the run fails to complete within the configured limit.
 pub fn run_migration_storm(config: &RunConfig, cfg: &MigrationStormConfig) -> MigrationOutcome {
-    let mut m = crate::harness::build_workload_machine(config, AppShared::None);
+    let mut m = build_workload_machine(config, AppShared::None);
     install_migration_storm(&mut m, cfg);
-    let status = run_until_done(&mut m, config.limit, |s| {
-        let mig = s.migrate();
-        mig.total_workers > 0 && mig.workers_done == mig.total_workers
-    });
-    assert_ne!(status, RunStatus::StepLimit, "storm run hit the step guard");
-    let report = AppReport::extract("migration-storm", &m);
+    let (report, status) = run_app(&mut m, config.limit);
     let s = m.shared();
     let mig = s.migrate();
     assert_eq!(
@@ -413,7 +408,7 @@ mod tests {
     use machtlb_core::KernelConfig;
     use machtlb_sim::{CostModel, Time, Topology};
 
-    fn storm_config(n_cpus: usize, topology: Option<Topology>, seed: u64) -> RunConfig {
+    fn storm_config(n_cpus: usize, topology: Topology, seed: u64) -> RunConfig {
         RunConfig {
             n_cpus,
             seed,
@@ -431,7 +426,7 @@ mod tests {
     #[test]
     fn local_storm_on_a_flat_machine_migrates_and_stays_consistent() {
         let out = run_migration_storm(
-            &storm_config(8, None, 11),
+            &storm_config(8, Topology::default(), 11),
             &MigrationStormConfig {
                 workers_per_node: 4,
                 pages_per_worker: 3,
@@ -452,7 +447,7 @@ mod tests {
     fn cross_node_storm_pays_remote_traffic() {
         let topo = Topology::numa(2, 4, Dur::micros(2));
         let out = run_migration_storm(
-            &storm_config(8, Some(topo), 12),
+            &storm_config(8, topo, 12),
             &MigrationStormConfig {
                 workers_per_node: 2,
                 pages_per_worker: 3,
@@ -472,7 +467,7 @@ mod tests {
     fn local_storm_on_numa_keeps_lock_traffic_on_node() {
         let topo = Topology::numa(2, 4, Dur::micros(2));
         let out = run_migration_storm(
-            &storm_config(8, Some(topo), 13),
+            &storm_config(8, topo, 13),
             &MigrationStormConfig {
                 workers_per_node: 2,
                 pages_per_worker: 3,
@@ -492,8 +487,8 @@ mod tests {
         // Build a 2-node machine; home a pmap on node 0 but mark it in use
         // only on node 1's processors. One balancing pass must rehome it.
         let topo = Topology::numa(2, 4, Dur::micros(2));
-        let config = storm_config(8, Some(topo), 14);
-        let mut m = crate::harness::build_workload_machine(&config, AppShared::None);
+        let config = storm_config(8, topo, 14);
+        let mut m = build_workload_machine(&config, AppShared::None);
         let task = {
             let s = m.shared_mut();
             let (k, vm) = s.kernel_and_vm();

@@ -14,11 +14,11 @@
 use machtlb_core::drive;
 use machtlb_core::Driven;
 use machtlb_pmap::{PageRange, Prot, Vpn};
-use machtlb_sim::{BlockOn, CpuId, Ctx, Dur, Process, RunStatus, Step, WaitChannel};
+use machtlb_sim::{BlockOn, CpuId, Ctx, Dur, Process, Step, WaitChannel};
 use machtlb_vm::{HasVm, TaskId, VmOp, VmOpProcess, USER_SPAN_START};
 use rand::Rng;
 
-use crate::harness::{build_workload_machine, AppReport, RunConfig, WlMachine};
+use crate::harness::{build_workload_machine, run_app, AppReport, RunConfig, WlMachine};
 use crate::kernelops::KernelBufferOp;
 use crate::state::{AppShared, WlState};
 use crate::thread::{enqueue_thread, ThreadShell};
@@ -422,10 +422,7 @@ pub fn install_parthenon(m: &mut WlMachine, cfg: &ParthenonConfig) {
 pub fn run_parthenon(config: &RunConfig, cfg: &ParthenonConfig) -> AppReport {
     let mut m = build_workload_machine(config, AppShared::None);
     install_parthenon(&mut m, cfg);
-    let status = crate::harness::run_until_done(&mut m, config.limit, |s| {
-        s.parthenon().completed_at.is_some()
-    });
-    assert_ne!(status, RunStatus::StepLimit, "parthenon hit the step guard");
+    let (report, status) = run_app(&mut m, config.limit);
     assert_eq!(
         m.shared().parthenon().runs_done,
         cfg.runs,
@@ -433,9 +430,5 @@ pub fn run_parthenon(config: &RunConfig, cfg: &ParthenonConfig) -> AppReport {
         config.limit,
         status
     );
-    let mut report = AppReport::extract("Parthenon", &m);
-    if let Some(t) = m.shared().parthenon().completed_at {
-        report.runtime = t.duration_since(machtlb_sim::Time::ZERO);
-    }
     report
 }

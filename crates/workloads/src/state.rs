@@ -5,7 +5,7 @@ use std::collections::VecDeque;
 use std::fmt;
 
 use machtlb_core::{HasKernel, KernelState};
-use machtlb_sim::{CpuId, Process};
+use machtlb_sim::{CpuId, Process, Time};
 use machtlb_vm::{HasVm, SystemState, VmState};
 
 use crate::agora::AgoraShared;
@@ -36,6 +36,44 @@ pub enum AppShared {
     Camelot(CamelotShared),
     /// The page-migration storm.
     Migrate(MigrateShared),
+}
+
+impl AppShared {
+    /// The installed application's name in its [`AppReport`](crate::AppReport).
+    pub fn name(&self) -> &'static str {
+        match self {
+            AppShared::None => "none",
+            AppShared::Tester(_) => "tester",
+            AppShared::MachBuild(_) => "Mach",
+            AppShared::Parthenon(_) => "Parthenon",
+            AppShared::Agora(_) => "Agora",
+            AppShared::Camelot(_) => "Camelot",
+            AppShared::Migrate(_) => "migration-storm",
+        }
+    }
+
+    /// Whether the installed application is done: the condition
+    /// [`run_app`](crate::run_app) runs the machine until. With no
+    /// application installed it never is.
+    pub fn is_done(&self) -> bool {
+        match self {
+            AppShared::Tester(t) => t.mismatch.is_some() && t.children_dead == t.children,
+            AppShared::Migrate(m) => m.total_workers > 0 && m.workers_done == m.total_workers,
+            _ => self.completed_at().is_some(),
+        }
+    }
+
+    /// When the application recorded its own completion. The tester and
+    /// the storm record none: their runtime is the machine's.
+    pub fn completed_at(&self) -> Option<Time> {
+        match self {
+            AppShared::MachBuild(b) => b.completed_at,
+            AppShared::Parthenon(p) => p.completed_at,
+            AppShared::Agora(a) => a.completed_at,
+            AppShared::Camelot(c) => c.completed_at,
+            AppShared::None | AppShared::Tester(_) | AppShared::Migrate(_) => None,
+        }
+    }
 }
 
 macro_rules! app_accessors {

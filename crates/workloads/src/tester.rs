@@ -14,13 +14,13 @@
 
 use machtlb_core::{drive, Driven, MemOp};
 use machtlb_pmap::{PageRange, Prot, Vaddr, Vpn};
-use machtlb_sim::{CpuId, Ctx, Dur, Process, RunStatus, Step};
+use machtlb_sim::{CpuId, Ctx, Dur, Process, Step};
 use machtlb_vm::{
     TaskId, UserAccess, UserAccessResult, UserAccessStep, VmOp, VmOpProcess, USER_SPAN_START,
 };
 use machtlb_xpr::InitiatorRecord;
 
-use crate::harness::{build_workload_machine, AppReport, RunConfig, WlMachine};
+use crate::harness::{build_workload_machine, run_app, AppReport, RunConfig, WlMachine};
 use crate::state::{AppShared, WlState};
 use crate::thread::{enqueue_thread, ThreadShell};
 
@@ -56,6 +56,8 @@ pub struct TesterShared {
     /// Whether any counter advanced after the reprotect (a detected
     /// inconsistency). `None` until the comparison ran.
     pub mismatch: Option<bool>,
+    /// Children the tester forks.
+    pub children: u32,
     /// Children that terminated on their unrecoverable write fault.
     pub children_dead: u32,
 }
@@ -291,6 +293,7 @@ pub fn install_tester(m: &mut WlMachine, cfg: &TesterConfig) {
     s.app = AppShared::Tester(TesterShared {
         task: Some(task),
         page_vpn: COUNTER_PAGE,
+        children: cfg.children,
         ..TesterShared::default()
     });
     let main = ThreadShell::new(
@@ -329,19 +332,8 @@ pub struct TesterOutcome {
 pub fn run_tester(config: &RunConfig, tcfg: &TesterConfig) -> TesterOutcome {
     let mut m = build_workload_machine(config, AppShared::None);
     install_tester(&mut m, tcfg);
-    let children = tcfg.children;
-    let status = crate::harness::run_until_done(&mut m, config.limit, |s| {
-        let t = s.tester();
-        t.mismatch.is_some() && t.children_dead == children
-    });
-    assert_ne!(
-        status,
-        RunStatus::StepLimit,
-        "tester run hit the step guard"
-    );
-    let report = AppReport::extract("tester", &m);
-    let s = m.shared();
-    let t = s.tester();
+    let (report, status) = run_app(&mut m, config.limit);
+    let t = m.shared().tester();
     let mismatch = t.mismatch.unwrap_or_else(|| {
         panic!(
             "tester did not conclude before {} (status {:?})",

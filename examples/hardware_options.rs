@@ -7,7 +7,6 @@
 
 use machtlb::core::{KernelConfig, Strategy};
 use machtlb::sim::{Dur, Time};
-use machtlb::tlb::{ReloadPolicy, TlbConfig, WritebackPolicy};
 use machtlb::workloads::{run_tester, RunConfig, TesterConfig};
 
 fn measure(name: &str, kconfig: KernelConfig) {
@@ -61,11 +60,7 @@ fn main() {
         "software reload (no responder stall)",
         KernelConfig {
             strategy: Strategy::NoStallSoftwareReload,
-            tlb: TlbConfig {
-                reload: ReloadPolicy::Software,
-                writeback: WritebackPolicy::None,
-                ..TlbConfig::multimax()
-            },
+            tlb: Strategy::NoStallSoftwareReload.multimax_tlb(),
             ..stock.clone()
         },
     );
@@ -73,10 +68,7 @@ fn main() {
         "remote TLB invalidation (MC88200)",
         KernelConfig {
             strategy: Strategy::HardwareRemoteInvalidate,
-            tlb: TlbConfig {
-                writeback: WritebackPolicy::Interlocked,
-                ..TlbConfig::multimax()
-            },
+            tlb: Strategy::HardwareRemoteInvalidate.multimax_tlb(),
             ..stock
         },
     );

@@ -9,20 +9,17 @@
 //! cargo run --release --example scaling_study
 //! ```
 
-use machtlb::sim::{CostModel, Time};
+use machtlb::bench::scaled_costs;
+use machtlb::sim::Time;
 use machtlb::workloads::{run_tester, RunConfig, TesterConfig};
 
 fn cost_at(n_cpus: usize, responders: u32, seed: u64) -> f64 {
-    let mut costs = CostModel::multimax();
-    if n_cpus > 16 {
-        // Large machines are not uniform-bus designs (Section 8): scale
-        // the interconnect with the machine.
-        costs.bus_occupancy = costs.bus_occupancy.mul_f64(16.0 / n_cpus as f64);
-    }
     let config = RunConfig {
         n_cpus,
         seed,
-        costs,
+        // Large machines are not uniform-bus designs (Section 8): scale
+        // the interconnect with the machine.
+        costs: scaled_costs(n_cpus),
         kconfig: Default::default(),
         timer_flush_period: machtlb_sim::Dur::millis(5),
         device_period: None,

@@ -11,7 +11,7 @@
 use std::io::Write as _;
 use std::process::ExitCode;
 
-use machtlb::bench::{compare_reports, diff_reports, parse_report};
+use machtlb::bench::{compare_reports, diff_reports, parse_report, scaled_costs};
 use machtlb::core::{
     campaign_json, chaos_schedules, check_envelope, fuzz_schedules, is_red, parse_schedule,
     run_campaign, run_schedule, schedule_json, shrink, soak_schedules, CampaignTotals,
@@ -19,8 +19,7 @@ use machtlb::core::{
     Survival, MAX_SCHEDULE_CPUS,
 };
 use machtlb::pmap::{SHARD_GRANULE, VPN_SPAN};
-use machtlb::sim::{BusOp, CostModel, Dur, Time, Topology};
-use machtlb::tlb::{ReloadPolicy, TlbConfig, WritebackPolicy};
+use machtlb::sim::{BusOp, Dur, Topology};
 use machtlb::workloads::{
     run_agora, run_camelot, run_machbuild, run_migration_storm, run_parthenon, run_tester,
     AgoraConfig, AppReport, CamelotConfig, MachBuildConfig, MigrationStormConfig, ParthenonConfig,
@@ -39,8 +38,8 @@ USAGE:
     machtlb tester  [--children N] [--cpus N] [--seed N] [--strategy S]
                     [--fanout N] [--shards N] [--batch on|off]
                     [--residency on|off] [TOPOLOGY]
-    machtlb app     <mach|parthenon|agora|camelot> [--cpus N] [--seed N]
-                    [--lazy on|off] [--residency on|off]
+    machtlb app     <mach|parthenon|agora|camelot|tester> [--cpus N]
+                    [--seed N] [--lazy on|off] [--residency on|off]
     machtlb fig2    [--cpus N] [--max-k N] [--runs N]
     machtlb scaling [--upto N] [--fanout N] [--shards N] [--batch on|off]
                     [--residency on|off] [TOPOLOGY]
@@ -82,9 +81,10 @@ TOPOLOGY FLAGS (omit them all for the paper's flat single-bus machine):
     --nodes N            NUMA nodes (default 1 = flat, bit-identical to
                          the pre-topology simulator)
     --node-cpus N        processors per node (default cpus / nodes; the
-                         last node absorbs any surplus)
+                         last node absorbs any surplus and may not be
+                         empty)
     --remote-latency US  microseconds added to every interconnect
-                         crossing (default 4)
+                         crossing (default 4; must fit the clock)
 
 `storm` runs the page-migration workload: workers on every node
 repeatedly unmap a page and re-enter it on a fresh frame, hammering the
@@ -203,7 +203,8 @@ impl Args {
     }
 
     /// A count that must be at least 1: zero seeds, rounds or cycles
-    /// would report a vacuous green verdict.
+    /// would report a vacuous green verdict, and zero storm workers or
+    /// migrations a consistent run over nothing.
     fn count(&self, name: &str, default: u64) -> Result<u64, String> {
         match self.num(name, default)? {
             0 => Err(format!("--{name}: need at least 1")),
@@ -246,65 +247,84 @@ fn cpus_flag(args: &Args, default: u64, min: usize, what: &str) -> Result<usize,
     Ok(cpus)
 }
 
-/// The fewest processors an application workload runs on: one to drive
-/// it plus one to run it, and Camelot's coordinator, servers, and a
-/// client each get their own.
-fn app_min_cpus(name: &str) -> usize {
-    match name {
+/// Runs one workload on a configured machine and returns its report.
+type Runner = fn(&RunConfig) -> AppReport;
+
+/// The workloads `app` and `trace` run, by name, at their default
+/// configurations. The tester forks up to seven children.
+const WORKLOADS: [(&[&str], Runner); 5] = [
+    (&["mach", "machbuild"], |c| {
+        run_machbuild(c, &MachBuildConfig::default())
+    }),
+    (&["parthenon"], |c| {
+        run_parthenon(c, &ParthenonConfig::default())
+    }),
+    (&["agora"], |c| run_agora(c, &AgoraConfig::default())),
+    (&["camelot"], |c| run_camelot(c, &CamelotConfig::default())),
+    (&["tester"], |c| {
+        let tcfg = TesterConfig {
+            children: (c.n_cpus - 1).min(7) as u32,
+            warmup_increments: 40,
+        };
+        run_tester(c, &tcfg).report
+    }),
+];
+
+/// Looks a workload up by name and checks `--cpus` against the fewest
+/// processors it runs on: one to drive it plus one to run it, and
+/// Camelot's coordinator, servers, and a client each get their own.
+fn workload_flags(args: &Args, name: &str) -> Result<(Runner, usize), String> {
+    let &(_, run) = WORKLOADS
+        .iter()
+        .find(|(names, _)| names.contains(&name))
+        .ok_or_else(|| format!("unknown workload: {name}"))?;
+    let min = match name {
         "camelot" => 2 + CamelotConfig::default().server_threads as usize,
         _ => 2,
-    }
+    };
+    Ok((run, cpus_flag(args, 16, min, name)?))
 }
 
+/// The kernel for a `--strategy` name, on the Multimax TLB with the
+/// least change the strategy needs.
 fn strategy_config(name: &str) -> Result<KernelConfig, String> {
-    let stock = KernelConfig::default();
-    Ok(match name {
-        "shootdown" => stock,
-        "broadcast" => KernelConfig {
-            strategy: Strategy::BroadcastIpi,
-            ..stock
-        },
-        "naive" => KernelConfig {
-            strategy: Strategy::NaiveFlush,
-            ..stock
-        },
-        "no-stall" => KernelConfig {
-            strategy: Strategy::NoStallSoftwareReload,
-            tlb: TlbConfig {
-                reload: ReloadPolicy::Software,
-                writeback: WritebackPolicy::None,
-                ..TlbConfig::multimax()
-            },
-            ..stock
-        },
-        "hw-remote" => KernelConfig {
-            strategy: Strategy::HardwareRemoteInvalidate,
-            tlb: TlbConfig {
-                writeback: WritebackPolicy::Interlocked,
-                ..TlbConfig::multimax()
-            },
-            ..stock
-        },
-        "timer-delayed" => KernelConfig {
-            strategy: Strategy::TimerDelayed,
-            tlb: TlbConfig {
-                writeback: WritebackPolicy::Interlocked,
-                ..TlbConfig::multimax()
-            },
-            ..stock
-        },
+    let strategy = match name {
+        "shootdown" => Strategy::Shootdown,
+        "broadcast" => Strategy::BroadcastIpi,
+        "naive" => Strategy::NaiveFlush,
+        "no-stall" => Strategy::NoStallSoftwareReload,
+        "hw-remote" => Strategy::HardwareRemoteInvalidate,
+        "timer-delayed" => Strategy::TimerDelayed,
         other => return Err(format!("unknown strategy: {other}")),
+    };
+    Ok(KernelConfig {
+        strategy,
+        tlb: strategy.multimax_tlb(),
+        ..KernelConfig::default()
     })
 }
 
-/// Applies the `--fanout`, `--shards`, and `--batch` delivery flags to a
-/// kernel configuration.
-fn apply_delivery_flags(args: &Args, mut kconfig: KernelConfig) -> Result<KernelConfig, String> {
-    let fanout = args.num("fanout", kconfig.fanout as u64)? as usize;
-    if fanout == 0 {
+/// Applies the kernel flags to a configuration for a `cpus`-processor
+/// machine. A subcommand that does not take a flag never sees it (`main`
+/// refuses it), so it keeps the configuration's value.
+///
+/// - `--fanout`, `--shards` and `--batch`: shootdown delivery.
+/// - `--residency on|off` (default off = the paper's exact protocol): on,
+///   the initiator skips targets whose possibly-cached set cannot hold
+///   the stale translation, and tagged-TLB pmap retirement recycles the
+///   ASID generation instead of walking entries.
+/// - `--nodes`, `--node-cpus` and `--remote-latency`: the NUMA shape,
+///   through its one validator. Without them the machine stays flat,
+///   bit-identical to the pre-topology single-bus simulator.
+fn kernel_flags(
+    args: &Args,
+    cpus: usize,
+    mut kconfig: KernelConfig,
+) -> Result<KernelConfig, String> {
+    kconfig.fanout = args.num("fanout", kconfig.fanout as u64)? as usize;
+    if kconfig.fanout == 0 {
         return Err("--fanout: degree must be at least 1".into());
     }
-    kconfig.fanout = fanout;
     // A shard covers whole granules, so more shards than granules would
     // only allocate locks no range can ever map to.
     let max_shards = VPN_SPAN / SHARD_GRANULE;
@@ -314,66 +334,33 @@ fn apply_delivery_flags(args: &Args, mut kconfig: KernelConfig) -> Result<Kernel
     }
     kconfig.pmap_shards = shards as usize;
     kconfig.batch_initiators = args.on_off("batch", kconfig.batch_initiators)?;
-    Ok(kconfig)
-}
-
-/// Applies the `--residency on|off` flag (default off = the paper's
-/// exact protocol). On, the initiator consults the per-processor
-/// possibly-cached sets to skip shootdown targets that cannot hold the
-/// stale translation, and tagged-TLB pmap retirement recycles the ASID
-/// generation instead of walking entries.
-fn apply_residency_flag(args: &Args, mut kconfig: KernelConfig) -> Result<KernelConfig, String> {
     kconfig.residency = args.on_off("residency", kconfig.residency)?;
-    Ok(kconfig)
-}
-
-/// Applies the `--nodes`, `--node-cpus`, and `--remote-latency` topology
-/// flags. With none of them present the configuration stays flat
-/// (`topology: None`), which is bit-identical to the pre-topology
-/// single-bus simulator.
-fn apply_topology_flags(
-    args: &Args,
-    cpus: usize,
-    mut kconfig: KernelConfig,
-) -> Result<KernelConfig, String> {
-    if args.get("nodes").is_none()
-        && args.get("node-cpus").is_none()
-        && args.get("remote-latency").is_none()
-    {
-        return Ok(kconfig);
-    }
-    let nodes = args.num("nodes", 1)? as usize;
-    if nodes == 0 {
-        return Err("--nodes: need at least 1 node".into());
-    }
-    let node_cpus = args.num("node-cpus", cpus.div_ceil(nodes).max(1) as u64)? as usize;
-    if node_cpus == 0 {
-        return Err("--node-cpus: need at least 1 processor per node".into());
-    }
-    if nodes > 1 && node_cpus * (nodes - 1) >= cpus {
-        return Err(format!(
-            "--nodes {nodes} x --node-cpus {node_cpus} leaves no processor \
-             for the last node on a {cpus}-cpu machine"
-        ));
-    }
-    let remote = Dur::micros(args.num("remote-latency", 4)?);
-    kconfig.topology = Some(Topology::numa(nodes, node_cpus, remote));
+    let node_cpus = match args.get("node-cpus") {
+        Some(_) => Some(args.num("node-cpus", 0)? as usize),
+        None => None,
+    };
+    kconfig.topology = Topology::checked(
+        cpus,
+        args.num("nodes", 1)? as usize,
+        node_cpus,
+        args.num("remote-latency", 4)?,
+    )
+    .map_err(|e| format!("--nodes/--node-cpus/--remote-latency: {e}"))?;
     Ok(kconfig)
 }
 
 /// One line describing the machine topology, printed when a run is NUMA
 /// so output is self-describing (flat runs stay silent: nothing changed).
 fn topology_line(kconfig: &KernelConfig) -> Option<String> {
-    let t = kconfig.topology?;
-    if t.is_flat() {
-        return None;
-    }
-    Some(format!(
-        "topology: {} nodes x {} processors, {:.1} us interconnect crossing",
-        t.nodes(),
-        t.node_cpus(),
-        t.remote_latency().as_micros_f64(),
-    ))
+    let t = kconfig.topology;
+    (!t.is_flat()).then(|| {
+        format!(
+            "topology: {} nodes x {} processors, {:.1} us interconnect crossing",
+            t.nodes(),
+            t.node_cpus(),
+            t.remote_latency().as_micros_f64(),
+        )
+    })
 }
 
 /// One line describing the delivery configuration, printed whenever the
@@ -395,12 +382,8 @@ fn delivery_line(kconfig: &KernelConfig) -> String {
 fn base_config(cpus: usize, seed: u64, kconfig: KernelConfig) -> RunConfig {
     RunConfig {
         n_cpus: cpus,
-        seed,
-        costs: CostModel::multimax(),
         kconfig,
-        device_period: Some(Dur::millis(20)),
-        timer_flush_period: Dur::millis(5),
-        limit: Time::from_micros(120_000_000),
+        ..RunConfig::multimax16(seed)
     }
 }
 
@@ -422,15 +405,11 @@ fn cmd_tester(args: &Args) -> Result<(), String> {
                 .into(),
         );
     }
-    let kconfig = apply_topology_flags(
-        args,
+    let config = base_config(
         cpus,
-        apply_residency_flag(
-            args,
-            apply_delivery_flags(args, strategy_config(strategy)?)?,
-        )?,
-    )?;
-    let config = base_config(cpus, seed, kconfig);
+        seed,
+        kernel_flags(args, cpus, strategy_config(strategy)?)?,
+    );
     let out = run_tester(
         &config,
         &TesterConfig {
@@ -509,30 +488,18 @@ fn cmd_app(args: &Args) -> Result<(), String> {
     let name = args
         .positional
         .get(1)
-        .ok_or("app: which one? mach|parthenon|agora|camelot")?
+        .ok_or("app: which one? mach|parthenon|agora|camelot|tester")?
         .as_str();
-    let cpus = cpus_flag(args, 16, app_min_cpus(name), name)?;
+    let (run, cpus) = workload_flags(args, name)?;
     let seed = args.num("seed", 1)?;
     let lazy = args.on_off("lazy", true)?;
-    let mut config = base_config(
-        cpus,
-        seed,
-        apply_residency_flag(
-            args,
-            KernelConfig {
-                lazy_eval: lazy,
-                ..Default::default()
-            },
-        )?,
-    );
-    config.device_period = Some(Dur::millis(5));
-    let report = match name {
-        "mach" => run_machbuild(&config, &MachBuildConfig::default()),
-        "parthenon" => run_parthenon(&config, &ParthenonConfig::default()),
-        "agora" => run_agora(&config, &AgoraConfig::default()),
-        "camelot" => run_camelot(&config, &CamelotConfig::default()),
-        other => return Err(format!("unknown app: {other}")),
+    let kconfig = KernelConfig {
+        lazy_eval: lazy,
+        ..Default::default()
     };
+    let mut config = base_config(cpus, seed, kernel_flags(args, cpus, kconfig)?);
+    config.device_period = Some(Dur::millis(5));
+    let report = run(&config);
     println!(
         "{}: {:.0} ms simulated, lazy evaluation {}",
         report.name,
@@ -649,32 +616,25 @@ fn cmd_fig2(args: &Args) -> Result<(), Failure> {
 
 fn cmd_scaling(args: &Args) -> Result<(), Failure> {
     let upto = args.machine_size("upto", 128)?;
-    let base_kconfig =
-        apply_residency_flag(args, apply_delivery_flags(args, KernelConfig::default())?)?;
+    if upto < 16 {
+        return Err(format!("--upto: the sweep starts at 16 processors, not {upto}").into());
+    }
     let mut n = 16usize;
     println!("machine-wide shootdown cost vs machine size (scalable interconnect):");
-    println!("  {}", delivery_line(&base_kconfig));
     while n <= upto {
         // Topology defaults derive from the machine size, so resolve the
         // flags at each point on the curve (--node-cpus tracks n/nodes).
-        let kconfig = apply_topology_flags(args, n, base_kconfig.clone())?;
+        let kconfig = kernel_flags(args, n, KernelConfig::default())?;
         if n == 16 {
+            println!("  {}", delivery_line(&kconfig));
             if let Some(line) = topology_line(&kconfig) {
                 println!("  {line} (resolved per machine size)");
             }
         }
-        let mut costs = CostModel::multimax();
-        if n > 16 {
-            costs.bus_occupancy = costs.bus_occupancy.mul_f64(16.0 / n as f64);
-        }
         let config = RunConfig {
-            n_cpus: n,
-            seed: 7,
-            costs,
-            kconfig: kconfig.clone(),
+            costs: scaled_costs(n),
             device_period: None,
-            timer_flush_period: Dur::millis(5),
-            limit: Time::from_micros(120_000_000),
+            ..base_config(n, 7, kconfig)
         };
         let k = (n - 1) as u32;
         let out = run_tester(
@@ -703,43 +663,16 @@ fn cmd_scaling(args: &Args) -> Result<(), Failure> {
 fn cmd_trace(args: &Args) -> Result<(), Failure> {
     let workload = args.get("workload").unwrap_or("machbuild");
     let strategy = args.get("strategy").unwrap_or("shootdown");
-    let cpus = cpus_flag(args, 16, app_min_cpus(workload), workload)?;
+    let (run, cpus) = workload_flags(args, workload)?;
     let seed = args.num("seed", 1)?;
     let out_path = args.get("out").unwrap_or("machtlb-trace.json").to_string();
-    let kconfig = apply_topology_flags(
-        args,
-        cpus,
-        apply_residency_flag(
-            args,
-            apply_delivery_flags(
-                args,
-                KernelConfig {
-                    trace_shootdowns: true,
-                    ..strategy_config(strategy)?
-                },
-            )?,
-        )?,
-    )?;
-    let mut config = base_config(cpus, seed, kconfig);
-    config.device_period = Some(Dur::millis(5));
-    let report = match workload {
-        "mach" | "machbuild" => run_machbuild(&config, &MachBuildConfig::default()),
-        "parthenon" => run_parthenon(&config, &ParthenonConfig::default()),
-        "agora" => run_agora(&config, &AgoraConfig::default()),
-        "camelot" => run_camelot(&config, &CamelotConfig::default()),
-        "tester" => {
-            let children = (cpus - 1).min(7) as u32;
-            run_tester(
-                &config,
-                &TesterConfig {
-                    children,
-                    warmup_increments: 40,
-                },
-            )
-            .report
-        }
-        other => return Err(format!("unknown workload: {other}").into()),
+    let kconfig = KernelConfig {
+        trace_shootdowns: true,
+        ..strategy_config(strategy)?
     };
+    let mut config = base_config(cpus, seed, kernel_flags(args, cpus, kconfig)?);
+    config.device_period = Some(Dur::millis(5));
+    let report = run(&config);
     let events = &report.trace;
     let failed = |what: &str, e| Failure::Run(format!("{what}: {e}"));
     check_monotone_per_cpu(events).map_err(|e| failed("trace not monotone", e))?;
@@ -760,41 +693,38 @@ fn cmd_trace(args: &Args) -> Result<(), Failure> {
     println!("wrote {out_path} — open it at https://ui.perfetto.dev or chrome://tracing");
     // On a NUMA machine the table carries a node column, attributing
     // each slice to the node it ran on; flat runs keep the plain table.
-    match config.kconfig.topology.filter(|t| !t.is_flat()) {
-        Some(topo) => {
-            let mut t = TextTable::new(vec![
-                "phase", "node", "slices", "p10 (us)", "median", "p90", "mean",
+    let topo = config.kconfig.topology;
+    if topo.is_flat() {
+        let mut t = TextTable::new(vec!["phase", "slices", "p10 (us)", "median", "p90", "mean"]);
+        for (phase, samples) in phase_latencies(events) {
+            let s = Summary::of(&samples).expect("phase_latencies omits empty phases");
+            t.add_row(vec![
+                phase.name().into(),
+                samples.len().to_string(),
+                format!("{:.1}", s.p10),
+                format!("{:.1}", s.median),
+                format!("{:.1}", s.p90),
+                format!("{:.1}", s.mean),
             ]);
-            for (phase, node, samples) in phase_latencies_by_node(events, topo) {
-                let s = Summary::of(&samples).expect("empty rows are omitted");
-                t.add_row(vec![
-                    phase.name().into(),
-                    node.to_string(),
-                    samples.len().to_string(),
-                    format!("{:.1}", s.p10),
-                    format!("{:.1}", s.median),
-                    format!("{:.1}", s.p90),
-                    format!("{:.1}", s.mean),
-                ]);
-            }
-            println!("{t}");
         }
-        None => {
-            let mut t =
-                TextTable::new(vec!["phase", "slices", "p10 (us)", "median", "p90", "mean"]);
-            for (phase, samples) in phase_latencies(events) {
-                let s = Summary::of(&samples).expect("phase_latencies omits empty phases");
-                t.add_row(vec![
-                    phase.name().into(),
-                    samples.len().to_string(),
-                    format!("{:.1}", s.p10),
-                    format!("{:.1}", s.median),
-                    format!("{:.1}", s.p90),
-                    format!("{:.1}", s.mean),
-                ]);
-            }
-            println!("{t}");
+        println!("{t}");
+    } else {
+        let mut t = TextTable::new(vec![
+            "phase", "node", "slices", "p10 (us)", "median", "p90", "mean",
+        ]);
+        for (phase, node, samples) in phase_latencies_by_node(events, topo) {
+            let s = Summary::of(&samples).expect("empty rows are omitted");
+            t.add_row(vec![
+                phase.name().into(),
+                node.to_string(),
+                samples.len().to_string(),
+                format!("{:.1}", s.p10),
+                format!("{:.1}", s.median),
+                format!("{:.1}", s.p90),
+                format!("{:.1}", s.mean),
+            ]);
         }
+        println!("{t}");
     }
     // The fail-stop recovery path, when the run exercised it: how long
     // eviction detection, the rejoin fence, and the rejoin itself took.
@@ -837,20 +767,16 @@ fn cmd_storm(args: &Args) -> Result<(), String> {
     let seed = args.num("seed", 1)?;
     let cross = args.on_off("cross", false)?;
     let storm = MigrationStormConfig {
-        workers_per_node: args.num("workers", 2)? as usize,
-        pages_per_worker: args.num("pages", 4)?,
-        migrations_per_worker: args.num("migrations", 8)?,
+        workers_per_node: args.count("workers", 2)? as usize,
+        pages_per_worker: args.count("pages", 4)?,
+        migrations_per_worker: args.count("migrations", 8)?,
         cross_node: cross,
     };
-    let kconfig = apply_topology_flags(
-        args,
-        cpus,
-        apply_residency_flag(args, KernelConfig::default())?,
-    )?;
+    let kconfig = kernel_flags(args, cpus, KernelConfig::default())?;
     // `--cross on` targets `(node + 1) % nodes`, which on a single-node
     // (or flat) machine silently wraps back to the same node and measures
     // node-local traffic while claiming cross-node. Refuse instead.
-    let nodes = kconfig.topology.map_or(1, |t| t.nodes());
+    let nodes = kconfig.topology.nodes();
     if cross && nodes <= 1 {
         return Err(format!(
             "--cross on needs at least 2 nodes (got {nodes}): cross-node \
@@ -1123,7 +1049,7 @@ fn cmd_chaos(args: &Args) -> Result<(), Failure> {
     let n_seeds = args.count("seeds", 3)?;
     let rounds = args.count("rounds", 3)?;
     let seeds: Vec<u64> = (1..=n_seeds).collect();
-    let kconfig = apply_topology_flags(args, cpus, KernelConfig::default())?;
+    let kconfig = kernel_flags(args, cpus, KernelConfig::default())?;
     let schedules = chaos_schedules(cpus, &seeds, rounds, kconfig.topology);
     println!(
         "chaos: {} plans x {} seeds on {cpus} processors, {rounds} shootdown rounds each",

@@ -6,6 +6,7 @@ use machtlb::core::{
     chaos_kconfig, chaos_schedules, check_envelope, plan_catalog, run_campaign, run_chaos,
     run_schedule, ChaosConfig, FaultSchedule, KernelConfig, Strategy, Survival,
 };
+use machtlb::sim::Topology;
 
 /// The fault-free run on `n_cpus` processors with no injector installed
 /// at all.
@@ -60,7 +61,7 @@ fn eviction_recovers_what_a_dead_responder_costs_forever() {
 /// headline robustness claim — a silent pass on either side fails.
 #[test]
 fn chaos_matrix_is_two_sided_green() {
-    let outcomes = run_campaign(chaos_schedules(4, &[1, 2, 3], 3, None));
+    let outcomes = run_campaign(chaos_schedules(4, &[1, 2, 3], 3, Topology::default()));
     let bad = check_envelope(&outcomes);
     assert!(bad.is_empty(), "envelope violated:\n{}", bad.join("\n"));
     // And the matrix genuinely exercised both sides.
@@ -76,7 +77,7 @@ fn chaos_matrix_is_two_sided_green() {
 /// traffic, and verdict. Chaos runs keep the repo's replay guarantee.
 #[test]
 fn chaos_campaigns_replay_bit_identically() {
-    for plan in chaos_schedules(4, &[13], 3, None) {
+    for plan in chaos_schedules(4, &[13], 3, Topology::default()) {
         let a = run_schedule(&plan);
         let b = run_schedule(&plan);
         assert_eq!(a, b, "plan {} must replay exactly", plan.name);

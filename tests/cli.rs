@@ -46,8 +46,9 @@ fn undersized_machines_are_usage_errors_not_panics() {
 /// Numeric flags are never truncated or allowed to exhaust memory: a
 /// child or sweep count past `u32` once ran as 1, a sweep wider than the
 /// machine panicked in the tester, a huge shard count or machine size
-/// aborted in the allocator, and `app mach --cpus 100000` ran until
-/// killed.
+/// aborted in the allocator, `app mach --cpus 100000` ran until
+/// killed, and a remote latency past the clock wrapped (or panicked in a
+/// debug build).
 #[test]
 fn out_of_range_numbers_are_usage_errors() {
     for args in [
@@ -60,6 +61,28 @@ fn out_of_range_numbers_are_usage_errors() {
         &["app", "mach", "--cpus", "100000"],
         &["scaling", "--upto", "4097"],
         &["fuzz", "--cpus", "5000000000"],
+        &[
+            "tester",
+            "--cpus",
+            "8",
+            "--children",
+            "3",
+            "--nodes",
+            "2",
+            "--remote-latency",
+            "18446744073709551615",
+        ],
+        &[
+            "chaos",
+            "--cpus",
+            "8",
+            "--seeds",
+            "1",
+            "--nodes",
+            "2",
+            "--remote-latency",
+            "18446744073709551615",
+        ],
     ] {
         assert_usage_error(args);
     }
@@ -97,8 +120,10 @@ fn unknown_flags_are_usage_errors() {
     }
 }
 
-/// A verdict over nothing is not green: zero seeds, rounds or cycles are
-/// refused instead of reporting a vacuous success.
+/// A verdict over nothing is not green: zero seeds, rounds, cycles, storm
+/// workers or migrations, and a scaling sweep below its first point, are
+/// refused instead of reporting a vacuous success. A storm over zero
+/// pages once panicked.
 #[test]
 fn vacuous_runs_are_usage_errors() {
     for args in [
@@ -110,6 +135,10 @@ fn vacuous_runs_are_usage_errors() {
         &["fuzz", "--budget", "0"],
         &["fig2", "--max-k", "0"],
         &["fig2", "--runs", "0"],
+        &["storm", "--pages", "0"],
+        &["storm", "--workers", "0"],
+        &["storm", "--migrations", "0"],
+        &["scaling", "--upto", "8"],
     ] {
         assert_usage_error(args);
     }

@@ -241,8 +241,8 @@ fn small_campaign_is_green() {
 /// The 2-node machine with an uneven node size and a slow interconnect
 /// that `machtlb chaos --nodes 2 --node-cpus 3 --remote-latency 20`
 /// builds.
-fn numa_2x3() -> Option<Topology> {
-    Some(Topology::numa(2, 3, Dur::micros(20)))
+fn numa_2x3() -> Topology {
+    Topology::numa(2, 3, Dur::micros(20))
 }
 
 /// One fault language: every chaos catalog entry (on a flat and on an
@@ -277,7 +277,7 @@ fn catalog_and_soak_shapes_round_trip_and_validate() {
 /// verdict, counters, and clocks.
 #[test]
 fn round_tripped_catalog_plans_replay_like_the_chaos_harness() {
-    for plan in chaos_schedules(4, &[3], 3, None)
+    for plan in chaos_schedules(4, &[3], 3, Topology::default())
         .into_iter()
         .filter(|p| p.tolerable)
     {
@@ -360,9 +360,13 @@ fn assert_rows_replay(
 /// replays red: any red chaos row is a `machtlb replay` input.
 #[test]
 fn beyond_envelope_rows_replay_red_from_the_survival_json() {
-    for (cpus, topology) in [("4", None), ("8", None), ("8", numa_2x3())] {
+    for (cpus, topology) in [
+        ("4", Topology::default()),
+        ("8", Topology::default()),
+        ("8", numa_2x3()),
+    ] {
         let mut args = vec!["chaos", "--cpus", cpus, "--seeds", "1"];
-        if topology.is_some() {
+        if !topology.is_flat() {
             args.extend(["--nodes", "2", "--node-cpus", "3", "--remote-latency", "20"]);
         }
         let n = cpus.parse().expect("a size");
@@ -425,7 +429,7 @@ fn survival_rows_and_the_stall_report_enumerate_the_hardening_registry() {
         "schedule",
     ];
     let outcomes = run_campaign(
-        chaos_schedules(4, &[3], 3, None)
+        chaos_schedules(4, &[3], 3, Topology::default())
             .into_iter()
             .filter(|p| !p.tolerable),
     );

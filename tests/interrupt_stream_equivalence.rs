@@ -15,13 +15,11 @@ use machtlb::core::{
     install_kernel_handlers, plan_catalog, run_chaos_with, stall_report, FaultSchedule,
     KernelMachine, KernelStats, Strategy, DEVICE_VECTOR, TIMER_FLUSH_VECTOR,
 };
-use machtlb::sim::{BusStats, CpuId, Dur, Machine, MachineConfig, RunStatus, Time, Vector};
-use machtlb::tlb::WritebackPolicy;
+use machtlb::sim::{BusStats, CpuId, Dur, Machine, MachineConfig, Time, Vector};
 use machtlb::vm::SystemState;
 use machtlb::workloads::{
-    build_workload_machine, install_camelot, install_machbuild, install_tester, run_until_done,
-    AppReport, AppShared, CamelotConfig, Dispatcher, MachBuildConfig, RunConfig, TesterConfig,
-    WlMachine, WlState,
+    build_workload_machine, install_camelot, install_machbuild, install_tester, run_app, AppShared,
+    CamelotConfig, Dispatcher, MachBuildConfig, RunConfig, TesterConfig, WlMachine, WlState,
 };
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -60,7 +58,7 @@ fn eager_workload_machine(config: &RunConfig) -> WlMachine {
         n_cpus: config.n_cpus,
         seed: config.seed,
         costs: config.costs.clone(),
-        topology: state.sys.kernel.topology,
+        topology: state.sys.kernel.config.topology,
     };
     let mut m = Machine::new(mconfig, state, |_| ());
     install_kernel_handlers(&mut m);
@@ -105,12 +103,7 @@ fn max_queued(pending: &[(Time, CpuId, Vector)], n_cpus: usize, vector: Vector) 
         .unwrap_or(0)
 }
 
-fn run_app(
-    config: &RunConfig,
-    eager: bool,
-    install: &dyn Fn(&mut WlMachine),
-    done: &dyn Fn(&WlState) -> bool,
-) -> Fingerprint {
+fn fingerprint(config: &RunConfig, eager: bool, install: &dyn Fn(&mut WlMachine)) -> Fingerprint {
     let mut m = if eager {
         eager_workload_machine(config)
     } else {
@@ -123,10 +116,8 @@ fn run_app(
     );
     let setup_rng = m.rng_mut().clone();
     install(&mut m);
-    let status = run_until_done(&mut m, config.limit, done);
-    assert_ne!(status, RunStatus::StepLimit, "hit the step guard");
-    assert!(done(m.shared()), "did not finish ({status:?})");
-    let report = AppReport::extract("equivalence", &m);
+    let (report, status) = run_app(&mut m, config.limit);
+    assert!(m.shared().app.is_done(), "did not finish ({status:?})");
     assert!(report.consistent, "consistency violations");
     Fingerprint {
         setup_rng,
@@ -139,14 +130,9 @@ fn run_app(
     }
 }
 
-fn assert_equivalent(
-    what: &str,
-    config: &RunConfig,
-    install: &dyn Fn(&mut WlMachine),
-    done: &dyn Fn(&WlState) -> bool,
-) {
-    let lazy = run_app(config, false, install, done);
-    let eager = run_app(config, true, install, done);
+fn assert_equivalent(what: &str, config: &RunConfig, install: &dyn Fn(&mut WlMachine)) {
+    let lazy = fingerprint(config, false, install);
+    let eager = fingerprint(config, true, install);
     assert!(lazy.steps > 0, "{what}: nothing ran");
     assert_eq!(
         lazy, eager,
@@ -166,23 +152,17 @@ fn paper_config(seed: u64) -> RunConfig {
 #[test]
 fn machbuild_matches_the_eager_schedule() {
     let cfg = MachBuildConfig::default();
-    assert_equivalent(
-        "machbuild@16",
-        &paper_config(1),
-        &|m| install_machbuild(m, &cfg),
-        &|s| s.machbuild().completed_at.is_some(),
-    );
+    assert_equivalent("machbuild@16", &paper_config(1), &|m| {
+        install_machbuild(m, &cfg)
+    });
 }
 
 #[test]
 fn camelot_matches_the_eager_schedule() {
     let cfg = CamelotConfig::default();
-    assert_equivalent(
-        "camelot@16",
-        &paper_config(2),
-        &|m| install_camelot(m, &cfg),
-        &|s| s.camelot().completed_at.is_some(),
-    );
+    assert_equivalent("camelot@16", &paper_config(2), &|m| {
+        install_camelot(m, &cfg)
+    });
 }
 
 #[test]
@@ -200,9 +180,7 @@ fn camelot64_with_residency_matches_the_eager_schedule() {
         db_pages: 96,
         ..CamelotConfig::default()
     };
-    assert_equivalent("camelot@64", &config, &|m| install_camelot(m, &cfg), &|s| {
-        s.camelot().completed_at.is_some()
-    });
+    assert_equivalent("camelot@64", &config, &|m| install_camelot(m, &cfg));
 }
 
 #[test]
@@ -215,9 +193,7 @@ fn tester_matches_the_eager_schedule() {
         children: 8,
         warmup_increments: 40,
     };
-    assert_equivalent("tester k=8", &config, &|m| install_tester(m, &tcfg), &|s| {
-        s.tester().mismatch.is_some() && s.tester().children_dead == 8
-    });
+    assert_equivalent("tester k=8", &config, &|m| install_tester(m, &tcfg));
 }
 
 #[test]
@@ -232,17 +208,14 @@ fn timer_delayed_flush_stream_matches_the_eager_schedule() {
         ..RunConfig::multimax16(61)
     };
     config.kconfig.strategy = Strategy::TimerDelayed;
-    config.kconfig.tlb.writeback = WritebackPolicy::Interlocked;
+    config.kconfig.tlb = Strategy::TimerDelayed.multimax_tlb();
     let tcfg = TesterConfig {
         children: 4,
         warmup_increments: 30,
     };
-    assert_equivalent(
-        "timer-delayed tester",
-        &config,
-        &|m| install_tester(m, &tcfg),
-        &|s| s.tester().mismatch.is_some() && s.tester().children_dead == 4,
-    );
+    assert_equivalent("timer-delayed tester", &config, &|m| {
+        install_tester(m, &tcfg)
+    });
 }
 
 /// A catalog plan run both ways: device arrivals keep latching on (and

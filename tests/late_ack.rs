@@ -134,7 +134,11 @@ fn wrongful_eviction_holds(n_cpus: usize, seed: u64, fanout: usize, numa: bool) 
         .into_iter()
         .find(|p| p.name == "wrongful-evict")
         .expect("catalog has the wrongful-eviction plan");
-    let topology = numa.then(|| Topology::numa(2, n_cpus / 2, Dur::micros(6)));
+    let topology = if numa {
+        Topology::numa(2, n_cpus / 2, Dur::micros(6))
+    } else {
+        Topology::default()
+    };
     let plan = FaultSchedule {
         seed,
         fanout,

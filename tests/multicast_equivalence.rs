@@ -10,27 +10,14 @@ use machtlb::core::{
 };
 use machtlb::pmap::{PageRange, Pfn, PmapId, Prot, Vaddr, Vpn};
 use machtlb::sim::{CostModel, CpuId, Ctx, Dur, Process, RunStatus, Step, Time, Topology};
-use machtlb::tlb::{ReloadPolicy, TlbConfig, WritebackPolicy};
 use machtlb::workloads::{run_tester, RunConfig, TesterConfig};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
 fn kconfig_for(strategy: Strategy, fanout: usize) -> KernelConfig {
-    let tlb = match strategy {
-        Strategy::HardwareRemoteInvalidate => TlbConfig {
-            writeback: WritebackPolicy::Interlocked,
-            ..TlbConfig::multimax()
-        },
-        Strategy::NoStallSoftwareReload => TlbConfig {
-            reload: ReloadPolicy::Software,
-            writeback: WritebackPolicy::None,
-            ..TlbConfig::multimax()
-        },
-        _ => TlbConfig::multimax(),
-    };
     KernelConfig {
         strategy,
-        tlb,
+        tlb: strategy.multimax_tlb(),
         fanout,
         ..KernelConfig::default()
     }
@@ -123,7 +110,7 @@ fn fanout_degree_stays_inert_under_a_numa_topology() {
     };
     let numa = |fanout: usize| {
         let mut c = config(Strategy::BroadcastIpi, fanout, 31);
-        c.kconfig.topology = Some(Topology::numa(2, 4, Dur::micros(6)));
+        c.kconfig.topology = Topology::numa(2, 4, Dur::micros(6));
         c
     };
     let unicast = run_tester(&numa(1), &tcfg);
@@ -147,7 +134,7 @@ fn degree_one_on_numa_takes_the_unicast_path() {
         warmup_increments: 30,
     };
     let mut cfg = config(Strategy::Shootdown, 1, 31);
-    cfg.kconfig.topology = Some(Topology::numa(2, 4, Dur::micros(6)));
+    cfg.kconfig.topology = Topology::numa(2, 4, Dur::micros(6));
     let out = run_tester(&cfg, &tcfg);
     assert!(!out.mismatch);
     assert!(out.report.consistent);
@@ -268,13 +255,13 @@ impl Process<machtlb::core::KernelState, ()> for Operator {
 }
 
 /// Runs one shootdown against the given in-use subset at the given
-/// degree (optionally on a NUMA topology); returns (responder cpu set,
+/// degree on the given topology; returns (responder cpu set,
 /// consistent, page prot).
 fn quiesce_set(
     n_cpus: usize,
     users: &[usize],
     fanout: usize,
-    topology: Option<Topology>,
+    topology: Topology,
 ) -> (BTreeSet<u32>, bool, Prot) {
     let kconfig = KernelConfig {
         fanout,
@@ -343,8 +330,8 @@ proptest! {
             // The mask missed every slot; keep the round non-trivial.
             users.push(1);
         }
-        let (uni, uni_ok, uni_prot) = quiesce_set(n_cpus, &users, 1, None);
-        let (multi, multi_ok, multi_prot) = quiesce_set(n_cpus, &users, degree, None);
+        let (uni, uni_ok, uni_prot) = quiesce_set(n_cpus, &users, 1, Topology::default());
+        let (multi, multi_ok, multi_prot) = quiesce_set(n_cpus, &users, degree, Topology::default());
         prop_assert!(uni_ok);
         prop_assert!(multi_ok);
         prop_assert_eq!(uni_prot, Prot::READ);
@@ -367,8 +354,8 @@ proptest! {
         if users.is_empty() {
             users.push(1);
         }
-        let (uni, uni_ok, uni_prot) = quiesce_set(n_cpus, &users, 1, Some(topo));
-        let (multi, multi_ok, multi_prot) = quiesce_set(n_cpus, &users, degree, Some(topo));
+        let (uni, uni_ok, uni_prot) = quiesce_set(n_cpus, &users, 1, topo);
+        let (multi, multi_ok, multi_prot) = quiesce_set(n_cpus, &users, degree, topo);
         prop_assert!(uni_ok);
         prop_assert!(multi_ok);
         prop_assert_eq!(uni_prot, Prot::READ);

@@ -12,8 +12,9 @@
 //! - the filter composes with fail-stop eviction and the fenced rejoin
 //!   (the PR 5 chaos catalog replays green with residency on).
 
+use machtlb::bench::scaled_costs;
 use machtlb::core::{chaos_schedules, check_envelope, run_chaos, KernelConfig, Strategy};
-use machtlb::sim::{CostModel, Time};
+use machtlb::sim::{Time, Topology};
 use machtlb::tlb::TlbConfig;
 use machtlb::workloads::{
     run_camelot, run_machbuild, AppReport, CamelotConfig, MachBuildConfig, RunConfig,
@@ -22,13 +23,10 @@ use machtlb::workloads::{
 /// Camelot on a 64-processor machine (scalable interconnect, as the
 /// Section 8 extrapolation benches assume for n > 16).
 fn camelot64(residency: bool, seed: u64) -> AppReport {
-    let n_cpus = 64usize;
-    let mut costs = CostModel::multimax();
-    costs.bus_occupancy = costs.bus_occupancy.mul_f64(16.0 / n_cpus as f64);
     let config = RunConfig {
-        n_cpus,
+        n_cpus: 64,
         seed,
-        costs,
+        costs: scaled_costs(64),
         kconfig: KernelConfig {
             residency,
             tlb: TlbConfig::multimax(),
@@ -118,13 +116,10 @@ fn machbuild_filter_reduces_ipis_and_stays_consistent() {
 #[test]
 fn camelot_fanout_rounds_filter_and_stay_consistent() {
     let run = |residency: bool| {
-        let n_cpus = 64usize;
-        let mut costs = CostModel::multimax();
-        costs.bus_occupancy = costs.bus_occupancy.mul_f64(16.0 / n_cpus as f64);
         let config = RunConfig {
-            n_cpus,
+            n_cpus: 64,
             seed: 77,
-            costs,
+            costs: scaled_costs(64),
             kconfig: KernelConfig {
                 residency,
                 fanout: 4,
@@ -164,7 +159,7 @@ fn camelot_fanout_rounds_filter_and_stay_consistent() {
 #[test]
 fn chaos_catalog_survives_with_residency_on() {
     let mut outcomes = Vec::new();
-    for plan in chaos_schedules(8, &[1], 3, None) {
+    for plan in chaos_schedules(8, &[1], 3, Topology::default()) {
         let mut cfg = plan.compile();
         cfg.kconfig.residency = true;
         let out = run_chaos(&cfg);

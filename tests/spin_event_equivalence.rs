@@ -1,44 +1,26 @@
 //! Event-driven waiting must be invisible: a machine whose spinners park
-//! on wait channels ([`SpinMode::Event`]) must produce bit-identical
-//! results to the stepped oracle ([`SpinMode::Stepped`]) that actually
+//! on wait channels (the default) must produce bit-identical results to
+//! the stepped oracle (`Machine::set_stepped_waits(true)`) that actually
 //! executes every spin iteration — same simulated runtime, same kernel and
 //! VM counters, same consistency verdict, same xpr event stream, same bus
 //! traffic, same per-processor clocks and step counts.
 
-use machtlb::core::{HasKernel, KernelConfig, SpinMode, Strategy};
-use machtlb::sim::{CostModel, CpuId, CpuStats, Time};
-use machtlb::tlb::{ReloadPolicy, TlbConfig, WritebackPolicy};
+use machtlb::core::{HasKernel, KernelConfig, Strategy};
+use machtlb::sim::{CostModel, CpuId, CpuStats, RunStatus, Time};
 use machtlb::workloads::{
-    build_workload_machine, install_tester, run_camelot, run_machbuild, run_tester, AppReport,
+    build_workload_machine, install_camelot, install_machbuild, install_tester, run_app, AppReport,
     AppShared, CamelotConfig, MachBuildConfig, RunConfig, TesterConfig, WlMachine,
 };
 
-fn kconfig_for(strategy: Strategy, mode: SpinMode) -> KernelConfig {
-    let tlb = match strategy {
-        Strategy::HardwareRemoteInvalidate => TlbConfig {
-            writeback: WritebackPolicy::Interlocked,
-            ..TlbConfig::multimax()
-        },
-        Strategy::NoStallSoftwareReload => TlbConfig {
-            reload: ReloadPolicy::Software,
-            writeback: WritebackPolicy::None,
-            ..TlbConfig::multimax()
-        },
-        _ => TlbConfig::multimax(),
-    };
-    KernelConfig {
-        strategy,
-        tlb,
-        spin_mode: mode,
-        ..KernelConfig::default()
-    }
-}
-
-fn config(strategy: Strategy, mode: SpinMode, seed: u64) -> RunConfig {
+fn config(strategy: Strategy, seed: u64) -> RunConfig {
     RunConfig {
         n_cpus: 8,
         seed,
-        kconfig: kconfig_for(strategy, mode),
+        kconfig: KernelConfig {
+            strategy,
+            tlb: strategy.multimax_tlb(),
+            ..KernelConfig::default()
+        },
         device_period: None,
         limit: Time::from_micros(60_000_000),
         ..RunConfig::multimax16(seed)
@@ -51,6 +33,27 @@ const CORRECT_STRATEGIES: [Strategy; 4] = [
     Strategy::NoStallSoftwareReload,
     Strategy::HardwareRemoteInvalidate,
 ];
+
+/// Runs the application `install` puts on `config`'s machine to
+/// completion, stepping every spin iteration (the oracle) or parking the
+/// waiters (the default), and returns the report, how the run stopped,
+/// and the finished machine.
+fn run(
+    config: &RunConfig,
+    stepped: bool,
+    install: impl FnOnce(&mut WlMachine),
+) -> (AppReport, RunStatus, WlMachine) {
+    let mut m = build_workload_machine(config, AppShared::None);
+    m.set_stepped_waits(stepped);
+    install(&mut m);
+    let (report, status) = run_app(&mut m, config.limit);
+    assert!(
+        m.shared().app.is_done(),
+        "{} did not finish (stepped={stepped}, status {status:?})",
+        report.name
+    );
+    (report, status, m)
+}
 
 /// Every observable an [`AppReport`] carries must match across modes.
 fn assert_reports_equal(label: &str, stepped: &AppReport, event: &AppReport) {
@@ -65,7 +68,7 @@ fn assert_reports_equal(label: &str, stepped: &AppReport, event: &AppReport) {
     );
     assert_eq!(
         stepped.user_initiators, event.user_initiators,
-        "{label}: user-pmap initiator records"
+        "{label}: user-pmap initiator records (the measured shootdown)"
     );
     assert_eq!(
         stepped.responders, event.responders,
@@ -79,26 +82,25 @@ fn assert_reports_equal(label: &str, stepped: &AppReport, event: &AppReport) {
     assert_eq!(stepped.tlb_misses, event.tlb_misses, "{label}: tlb misses");
 }
 
+/// Runs the tester on `config`'s machine in both modes and requires the
+/// tester's own verdict and every report observable to match.
+fn assert_tester_identical(label: &str, config: &RunConfig, tcfg: &TesterConfig) {
+    let (stepped, _, sm) = run(config, true, |m| install_tester(m, tcfg));
+    let (event, _, em) = run(config, false, |m| install_tester(m, tcfg));
+    let (st, et) = (sm.shared().tester(), em.shared().tester());
+    assert_eq!(st.mismatch, et.mismatch, "{label}: mismatch");
+    assert_eq!(st.children_dead, et.children_dead, "{label}: children");
+    assert_reports_equal(label, &stepped, &event);
+}
+
 #[test]
 fn tester_is_identical_under_both_modes_for_every_strategy() {
+    let tcfg = TesterConfig {
+        children: 5,
+        warmup_increments: 30,
+    };
     for strategy in CORRECT_STRATEGIES {
-        let tcfg = TesterConfig {
-            children: 5,
-            warmup_increments: 30,
-        };
-        let stepped = run_tester(&config(strategy, SpinMode::Stepped, 31), &tcfg);
-        let event = run_tester(&config(strategy, SpinMode::Event, 31), &tcfg);
-        let label = format!("tester/{strategy}");
-        assert_eq!(stepped.mismatch, event.mismatch, "{label}: mismatch");
-        assert_eq!(
-            stepped.children_dead, event.children_dead,
-            "{label}: children"
-        );
-        assert_eq!(
-            stepped.shootdown, event.shootdown,
-            "{label}: measured shootdown"
-        );
-        assert_reports_equal(&label, &stepped.report, &event.report);
+        assert_tester_identical(&format!("tester/{strategy}"), &config(strategy, 31), &tcfg);
     }
 }
 
@@ -111,8 +113,9 @@ fn machbuild_is_identical_under_both_modes_for_every_strategy() {
         ..MachBuildConfig::default()
     };
     for strategy in CORRECT_STRATEGIES {
-        let stepped = run_machbuild(&config(strategy, SpinMode::Stepped, 33), &cfg);
-        let event = run_machbuild(&config(strategy, SpinMode::Event, 33), &cfg);
+        let c = config(strategy, 33);
+        let (stepped, _, _) = run(&c, true, |m| install_machbuild(m, &cfg));
+        let (event, _, _) = run(&c, false, |m| install_machbuild(m, &cfg));
         assert_reports_equal(&format!("machbuild/{strategy}"), &stepped, &event);
     }
 }
@@ -127,8 +130,9 @@ fn camelot_is_identical_under_both_modes_for_every_strategy() {
         ..CamelotConfig::default()
     };
     for strategy in CORRECT_STRATEGIES {
-        let stepped = run_camelot(&config(strategy, SpinMode::Stepped, 35), &cfg);
-        let event = run_camelot(&config(strategy, SpinMode::Event, 35), &cfg);
+        let c = config(strategy, 35);
+        let (stepped, _, _) = run(&c, true, |m| install_camelot(m, &cfg));
+        let (event, _, _) = run(&c, false, |m| install_camelot(m, &cfg));
         assert_reports_equal(&format!("camelot/{strategy}"), &stepped, &event);
     }
 }
@@ -143,24 +147,14 @@ fn machine_fingerprint(m: &WlMachine) -> (Vec<(Time, CpuStats)>, u64, machtlb::s
 
 #[test]
 fn machine_state_is_identical_down_to_clocks_and_bus_traffic() {
-    let run = |mode: SpinMode| {
-        let c = config(Strategy::Shootdown, mode, 31);
-        let mut m = build_workload_machine(&c, AppShared::None);
-        install_tester(
-            &mut m,
-            &TesterConfig {
-                children: 5,
-                warmup_increments: 30,
-            },
-        );
-        let status = machtlb::workloads::run_until_done(&mut m, c.limit, |s| {
-            let t = s.tester();
-            t.mismatch.is_some() && t.children_dead == 5
-        });
-        (status, machine_fingerprint(&m))
+    let c = config(Strategy::Shootdown, 31);
+    let tcfg = TesterConfig {
+        children: 5,
+        warmup_increments: 30,
     };
-    let (s_status, s_fp) = run(SpinMode::Stepped);
-    let (e_status, e_fp) = run(SpinMode::Event);
+    let (_, s_status, sm) = run(&c, true, |m| install_tester(m, &tcfg));
+    let (_, e_status, em) = run(&c, false, |m| install_tester(m, &tcfg));
+    let (s_fp, e_fp) = (machine_fingerprint(&sm), machine_fingerprint(&em));
     assert_eq!(s_status, e_status, "run status");
     assert_eq!(s_fp.1, e_fp.1, "total steps (backfill must count)");
     assert_eq!(s_fp.2, e_fp.2, "bus transaction history");
@@ -174,20 +168,14 @@ fn machine_state_is_identical_down_to_clocks_and_bus_traffic() {
 /// bit-identical — and must get there executing far fewer host steps.
 #[test]
 fn wide_machine_is_identical_and_cheaper_to_simulate() {
-    let run = |mode: SpinMode| {
-        let mut c = config(Strategy::Shootdown, mode, 41);
-        c.n_cpus = 32;
-        c.costs = CostModel::multimax();
-        let tcfg = TesterConfig {
-            children: 31,
-            warmup_increments: 10,
-        };
-        let out = run_tester(&c, &tcfg);
-        out.report
+    let mut c = config(Strategy::Shootdown, 41);
+    c.n_cpus = 32;
+    c.costs = CostModel::multimax();
+    let tcfg = TesterConfig {
+        children: 31,
+        warmup_increments: 10,
     };
-    let stepped = run(SpinMode::Stepped);
-    let event = run(SpinMode::Event);
-    assert_reports_equal("tester/32cpu", &stepped, &event);
+    assert_tester_identical("tester/32cpu", &c, &tcfg);
 }
 
 /// The published-round path (fanout 8): the leader's RoundWait, the
@@ -198,27 +186,17 @@ fn wide_machine_is_identical_and_cheaper_to_simulate() {
 fn published_rounds_are_identical_under_both_modes() {
     for n_cpus in [8usize, 32] {
         for batch in [false, true] {
-            let run = |mode: SpinMode| {
-                let mut c = config(Strategy::Shootdown, mode, 43);
-                c.n_cpus = n_cpus;
-                c.kconfig.fanout = 8;
-                c.kconfig.batch_initiators = batch;
-                c.kconfig.pmap_shards = if batch { 4 } else { 1 };
-                let tcfg = TesterConfig {
-                    children: n_cpus as u32 - 1,
-                    warmup_increments: 10,
-                };
-                run_tester(&c, &tcfg)
+            let mut c = config(Strategy::Shootdown, 43);
+            c.n_cpus = n_cpus;
+            c.kconfig.fanout = 8;
+            c.kconfig.batch_initiators = batch;
+            c.kconfig.pmap_shards = if batch { 4 } else { 1 };
+            let tcfg = TesterConfig {
+                children: n_cpus as u32 - 1,
+                warmup_increments: 10,
             };
-            let stepped = run(SpinMode::Stepped);
-            let event = run(SpinMode::Event);
             let label = format!("tester/fanout8/{n_cpus}cpu/batch={batch}");
-            assert_eq!(stepped.mismatch, event.mismatch, "{label}: mismatch");
-            assert_eq!(
-                stepped.shootdown, event.shootdown,
-                "{label}: measured shootdown"
-            );
-            assert_reports_equal(&label, &stepped.report, &event.report);
+            assert_tester_identical(&label, &c, &tcfg);
         }
     }
 }
@@ -234,12 +212,9 @@ fn system_machine_scripts_are_identical_under_both_modes() {
     const BASE: u64 = machtlb::vm::USER_SPAN_START + 0x80;
     const WINDOW: u64 = 24;
 
-    let run = |mode: SpinMode, seed: u64| {
-        let kconfig = KernelConfig {
-            spin_mode: mode,
-            ..KernelConfig::default()
-        };
-        let mut m = build_system_machine(4, seed, CostModel::multimax(), kconfig);
+    let run = |stepped: bool, seed: u64| {
+        let mut m = build_system_machine(4, seed, CostModel::multimax(), KernelConfig::default());
+        m.set_stepped_waits(stepped);
         let task = {
             let s = m.shared_mut();
             let SystemState { kernel, vm } = s;
@@ -280,8 +255,8 @@ fn system_machine_scripts_are_identical_under_both_modes() {
     };
 
     for seed in [7u64, 19, 101] {
-        let stepped = run(SpinMode::Stepped, seed);
-        let event = run(SpinMode::Event, seed);
+        let stepped = run(true, seed);
+        let event = run(false, seed);
         assert_eq!(stepped, event, "seed {seed}: full machine state");
     }
 }

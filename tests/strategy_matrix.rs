@@ -4,27 +4,14 @@
 
 use machtlb::core::{KernelConfig, Strategy};
 use machtlb::sim::Time;
-use machtlb::tlb::{ReloadPolicy, TlbConfig, WritebackPolicy};
 use machtlb::workloads::{
     run_camelot, run_machbuild, run_tester, CamelotConfig, MachBuildConfig, RunConfig, TesterConfig,
 };
 
 fn kconfig_for(strategy: Strategy) -> KernelConfig {
-    let tlb = match strategy {
-        Strategy::HardwareRemoteInvalidate => TlbConfig {
-            writeback: WritebackPolicy::Interlocked,
-            ..TlbConfig::multimax()
-        },
-        Strategy::NoStallSoftwareReload => TlbConfig {
-            reload: ReloadPolicy::Software,
-            writeback: WritebackPolicy::None,
-            ..TlbConfig::multimax()
-        },
-        _ => TlbConfig::multimax(),
-    };
     KernelConfig {
         strategy,
-        tlb,
+        tlb: strategy.multimax_tlb(),
         ..KernelConfig::default()
     }
 }

@@ -7,7 +7,6 @@
 
 use machtlb::core::{HasKernel, KernelConfig, Strategy};
 use machtlb::sim::{Dur, Time};
-use machtlb::tlb::{TlbConfig, WritebackPolicy};
 use machtlb::workloads::{
     build_workload_machine, install_tester, run_machbuild, AppShared, MachBuildConfig, RunConfig,
     TesterConfig,
@@ -19,10 +18,7 @@ fn timer_config(seed: u64, period_ms: u64) -> RunConfig {
         seed,
         kconfig: KernelConfig {
             strategy: Strategy::TimerDelayed,
-            tlb: TlbConfig {
-                writeback: WritebackPolicy::Interlocked,
-                ..TlbConfig::multimax()
-            },
+            tlb: Strategy::TimerDelayed.multimax_tlb(),
             ..KernelConfig::default()
         },
         device_period: None,

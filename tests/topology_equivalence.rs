@@ -20,7 +20,6 @@ use machtlb::core::{
     plan_catalog, run_chaos, ChaosConfig, FaultSchedule, KernelConfig, KernelStats, Strategy,
 };
 use machtlb::sim::{BusStats, Time, Topology};
-use machtlb::tlb::{ReloadPolicy, TlbConfig, WritebackPolicy};
 use machtlb::workloads::{run_tester, RunConfig, TesterConfig};
 
 /// FNV-1a over little-endian u64 words: stable, dependency-free, and
@@ -75,22 +74,10 @@ fn hash_stats(h: &mut u64, s: &KernelStats) {
     }
 }
 
-fn kconfig_for(strategy: Strategy, topology: Option<Topology>) -> KernelConfig {
-    let tlb = match strategy {
-        Strategy::HardwareRemoteInvalidate => TlbConfig {
-            writeback: WritebackPolicy::Interlocked,
-            ..TlbConfig::multimax()
-        },
-        Strategy::NoStallSoftwareReload => TlbConfig {
-            reload: ReloadPolicy::Software,
-            writeback: WritebackPolicy::None,
-            ..TlbConfig::multimax()
-        },
-        _ => TlbConfig::multimax(),
-    };
+fn kconfig_for(strategy: Strategy, topology: Topology) -> KernelConfig {
     KernelConfig {
         strategy,
-        tlb,
+        tlb: strategy.multimax_tlb(),
         topology,
         ..KernelConfig::default()
     }
@@ -106,7 +93,7 @@ const STRATEGIES: [Strategy; 4] = [
 /// One full consistency-tester run under `strategy`, reduced to a replay
 /// fingerprint: simulated runtime, every xpr initiator measurement, the
 /// kernel counters, and the bus statistics.
-fn tester_fingerprint(strategy: Strategy, seed: u64, topology: Option<Topology>) -> u64 {
+fn tester_fingerprint(strategy: Strategy, seed: u64, topology: Topology) -> u64 {
     let config = RunConfig {
         n_cpus: 8,
         seed,
@@ -156,7 +143,7 @@ fn tester_fingerprint(strategy: Strategy, seed: u64, topology: Option<Topology>)
 /// For the same reason the runs keep the bounds the goldens were
 /// captured under (200 ms, 5 M steps), which are where the
 /// beyond-envelope plans stop.
-fn chaos_fingerprint(seed: u64, topology: Option<Topology>) -> u64 {
+fn chaos_fingerprint(seed: u64, topology: Topology) -> u64 {
     let mut h = FNV_OFFSET;
     for plan in plan_catalog(4).into_iter().take(16) {
         let mut cfg = ChaosConfig {
@@ -197,14 +184,14 @@ const GOLDEN_CHAOS: u64 = 0x7dcf_3318_c066_2f79;
 #[test]
 fn flat_topology_replays_the_pre_topology_tree_bit_identically() {
     for (i, strategy) in STRATEGIES.into_iter().enumerate() {
-        let got = tester_fingerprint(strategy, 31, None);
+        let got = tester_fingerprint(strategy, 31, Topology::default());
         assert_eq!(
             got, GOLDEN_TESTER[i],
             "{strategy}: replay diverged from the pre-topology golden \
              fingerprint (got {got:#018x})"
         );
     }
-    let got = chaos_fingerprint(1, None);
+    let got = chaos_fingerprint(1, Topology::default());
     assert_eq!(
         got, GOLDEN_CHAOS,
         "chaos catalog: replay diverged from the pre-topology golden \
@@ -212,24 +199,25 @@ fn flat_topology_replays_the_pre_topology_tree_bit_identically() {
     );
 }
 
-/// `topology: Some(Topology::flat(n))` is spelled differently from
-/// `None` but must mean the same machine: the explicit one-node topology
-/// replays the pre-topology goldens bit for bit, across the strategy
-/// matrix and the fault catalog.
+/// `topology: Topology::flat(n)` is spelled differently from the default
+/// flat topology, which the kernel sizes to the machine, but must mean
+/// the same machine: the explicit one-node topology replays the
+/// pre-topology goldens bit for bit, across the strategy matrix and the
+/// fault catalog.
 #[test]
 fn explicit_flat_topology_matches_the_default_goldens() {
     for (i, strategy) in STRATEGIES.into_iter().enumerate() {
-        let got = tester_fingerprint(strategy, 31, Some(Topology::flat(8)));
+        let got = tester_fingerprint(strategy, 31, Topology::flat(8));
         assert_eq!(
             got, GOLDEN_TESTER[i],
-            "{strategy}: Some(flat(8)) diverged from the golden \
+            "{strategy}: flat(8) diverged from the golden \
              fingerprint (got {got:#018x})"
         );
     }
-    let got = chaos_fingerprint(1, Some(Topology::flat(4)));
+    let got = chaos_fingerprint(1, Topology::flat(4));
     assert_eq!(
         got, GOLDEN_CHAOS,
-        "chaos catalog: Some(flat(4)) diverged from the golden \
+        "chaos catalog: flat(4) diverged from the golden \
          fingerprint (got {got:#018x})"
     );
 }
@@ -241,11 +229,14 @@ fn explicit_flat_topology_matches_the_default_goldens() {
 fn dump_fingerprints() {
     println!("const GOLDEN_TESTER: [u64; 4] = [");
     for strategy in STRATEGIES {
-        println!("    {:#018x},", tester_fingerprint(strategy, 31, None));
+        println!(
+            "    {:#018x},",
+            tester_fingerprint(strategy, 31, Topology::default())
+        );
     }
     println!("];");
     println!(
         "const GOLDEN_CHAOS: u64 = {:#018x};",
-        chaos_fingerprint(1, None)
+        chaos_fingerprint(1, Topology::default())
     );
 }
