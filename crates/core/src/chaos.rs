@@ -975,7 +975,11 @@ impl CampaignTotals {
         let mut t = CampaignTotals::default();
         for o in outcomes {
             if let Some(s) = &o.schedule {
-                t.ops += s.rounds * 4 + if s.final_ro { 2 } else { 0 };
+                // Saturating: `--rounds` takes any u64, and a scripted
+                // count past u64::MAX reads as u64::MAX, not a wrap.
+                let finale = if s.final_ro { 2 } else { 0 };
+                let ops = s.rounds.saturating_mul(4).saturating_add(finale);
+                t.ops = t.ops.saturating_add(ops);
             }
             t.completed += u64::from(o.completed);
             t.violations += o.violations as u64;
@@ -1445,5 +1449,18 @@ mod tests {
         let msgs = check_envelope(std::slice::from_ref(&good));
         assert_eq!(msgs.len(), 1);
         assert!(msgs[0].contains("PASSED silently"), "{}", msgs[0]);
+    }
+
+    #[test]
+    fn campaign_totals_saturate_on_huge_round_counts() {
+        let small = outcome_for(4, 7, "none");
+        let mut huge = small.clone();
+        let s = huge.schedule.as_mut().expect("a plan ran");
+        s.rounds = u64::MAX;
+        s.final_ro = true;
+        let t = CampaignTotals::of(&[small.clone(), huge]);
+        assert_eq!(t.ops, u64::MAX);
+        assert_eq!(t.completed, 2);
+        assert_eq!(CampaignTotals::of(&[small]).ops, 4 * 3);
     }
 }

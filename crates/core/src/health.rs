@@ -28,10 +28,10 @@
 //!   never uses a pre-offline translation: disable the fence and the
 //!   checker flags the stale use.
 
-use machtlb_sim::{BlockOn, CpuId, Ctx, Process, Step, Time};
+use machtlb_sim::{BlockOn, CpuId, Ctx, Dur, Process, Step, Time};
 use machtlb_xpr::{SpanId, TraceEdge, TracePhase};
 
-use crate::state::{queue_lock_channel, HasKernel, KernelState, SYNC_CHANNEL};
+use crate::state::{queue_lock_channel, round_channel, HasKernel, KernelState, SYNC_CHANNEL};
 
 /// What a lock acquirer does upon finding the holder fail-stop halted.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
@@ -118,6 +118,23 @@ pub fn evict(
     });
     k.stats.evictions += 1;
     k.excuse_from_rounds(target)
+}
+
+/// Evicts `target` on behalf of the processor stepping `ctx` (see
+/// [`evict`]) and, in the same step, wakes every waiter the eviction can
+/// satisfy: the [`SYNC_CHANNEL`] listeners, and the leader of each round
+/// whose acknowledgement count the excusal drove to zero — the wake the
+/// dead responder would have sent. Returns the cost of the eviction's
+/// bus write. Kernel code evicts only through here, so no path can evict
+/// without waking round leaders.
+pub(crate) fn evict_and_wake<S: HasKernel>(ctx: &mut Ctx<'_, S, ()>, target: CpuId) -> Dur {
+    let (me, now) = (ctx.cpu_id, ctx.now);
+    let completed = evict(ctx.shared.kernel_mut(), me, target, now);
+    ctx.notify(SYNC_CHANNEL);
+    for pmap in completed {
+        ctx.notify(round_channel(pmap));
+    }
+    ctx.bus_write()
 }
 
 /// Forcibly releases every lock a fail-stop processor still holds — its

@@ -22,14 +22,23 @@
 //! The same state machine also implements the alternative strategies of
 //! [`Strategy`](crate::Strategy), which differ in the notification and
 //! synchronization phases but share locking and application.
+//!
+//! With a fan-out of 2 or more the shootdown runs as a published round
+//! instead of the paper's unicast path. The two paths keep their own send
+//! and wait phases (`QueueScan`/`SendIpis`/`Wait` against
+//! `PublishRound`/`MulticastSend`/`RoundWait`/`ApplyJoiners`/`RoundEnqueue`),
+//! and share every per-target step: the watchdog's re-send and give-up
+//! (`watchdog_expired`, evicting through `health::evict_and_wake`), the
+//! residency-filter skip, the queue-action post, the page-table write,
+//! the span marks, and the TLB invalidation (`responder::invalidate`).
 
-use machtlb_pmap::{PageRange, Pfn, PmapId, Prot, Pte, Vpn};
+use machtlb_pmap::{PageRange, Pfn, PmapId, PmapStats, Prot, Pte, Vpn};
 use machtlb_sim::{BlockOn, CpuId, Ctx, Dur, IntrMask, Process, Step, Time, WaitChannel};
-use machtlb_tlb::InvalidationPlan;
 use machtlb_xpr::{InitiatorRecord, PmapKind, ShootdownEvent, SpanId, TraceEdge, TracePhase};
 
-use crate::health::RecoveryPolicy;
+use crate::health::{evict_and_wake, RecoveryPolicy};
 use crate::queue::Action;
+use crate::responder::invalidate;
 use crate::state::{
     queue_lock_channel, round_channel, HasKernel, KernelState, ShootdownRound, WatchdogReport,
     SYNC_CHANNEL,
@@ -88,6 +97,38 @@ pub(crate) fn note_ipi<S: HasKernel>(ctx: &mut Ctx<'_, S, ()>, to: CpuId) {
         k.node_stats[from].ipis_remote += 1;
     }
 }
+
+/// Sends `to` a shootdown IPI and counts it, marking it pending so that
+/// other initiators suppress their own sends.
+fn send_shootdown_ipi<S: HasKernel>(ctx: &mut Ctx<'_, S, ()>, to: CpuId) {
+    ctx.shared.kernel_mut().ipi_pending[to.index()] = true;
+    ctx.send_ipi(to, SHOOTDOWN_VECTOR);
+    ctx.shared.kernel_mut().stats.ipis_sent += 1;
+    note_ipi(ctx, to);
+}
+
+/// The range `op` invalidates from TLBs: its own range, or for destroys
+/// the whole space.
+fn tlb_range(op: PmapOp) -> PageRange {
+    op.range()
+        .unwrap_or_else(|| PageRange::new(Vpn::new(0), machtlb_pmap::VPN_SPAN))
+}
+
+/// Counts `op` in its pmap's per-operation statistics.
+fn count_op(stats: &mut PmapStats, op: PmapOp) {
+    match op {
+        PmapOp::Enter { .. } => stats.enters += 1,
+        PmapOp::Remove { .. } => stats.removes += 1,
+        PmapOp::Protect { .. } => stats.protects += 1,
+        PmapOp::Destroy => stats.destroys += 1,
+        PmapOp::ClearRefBits { .. } => stats.ref_clears += 1,
+    }
+}
+
+/// Why a leader's lookup of its own round cannot fail: a round is removed
+/// only after its leader unlocks, or by a thief that stole the leader's
+/// lock, and a leader robbed that way restarts before its next lookup.
+const LEADER_ROUND: &str = "the leader's round lives until it unlocks";
 
 /// A machine-dependent physical-map operation.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -396,33 +437,6 @@ impl PmapOpProcess {
         self.changes = Self::plan_for(self.op, shared.pmaps.get(self.pmap_id).table());
     }
 
-    /// The range to invalidate from TLBs (the operation's range, or for
-    /// destroys the whole space).
-    fn invalidate_range(&self) -> PageRange {
-        self.op
-            .range()
-            .unwrap_or_else(|| PageRange::new(Vpn::new(0), machtlb_pmap::VPN_SPAN))
-    }
-
-    /// Invalidates this processor's own TLB for the operation's range,
-    /// returning the cost.
-    fn invalidate_local<S: HasKernel>(&self, ctx: &mut Ctx<'_, S, ()>) -> Dur {
-        let me = ctx.cpu_id;
-        let range = self.invalidate_range();
-        let costs = (ctx.costs().tlb_invalidate_single, ctx.costs().tlb_flush_all);
-        let tlb = &mut ctx.shared.kernel_mut().tlbs[me.index()];
-        match tlb.plan_invalidation(range) {
-            InvalidationPlan::Individual(n) => {
-                tlb.invalidate_range(self.pmap_id, range);
-                costs.0 * n
-            }
-            InvalidationPlan::FullFlush => {
-                tlb.flush_all();
-                costs.1
-            }
-        }
-    }
-
     /// Records the initiator xpr event.
     fn record_event<S: HasKernel>(&self, ctx: &mut Ctx<'_, S, ()>) -> Dur {
         if !ctx.shared.kernel_mut().config.instrumentation {
@@ -501,16 +515,21 @@ impl PmapOpProcess {
         self.open = Some(phase);
     }
 
-    /// The synchronization wait on `cpu` outlived the armed deadline.
-    /// While retries remain, re-send the shootdown IPI (the original may
-    /// have been lost) and push the deadline out by the backed-off
-    /// timeout; once exhausted, file a [`WatchdogReport`], skip the
-    /// responder, and move on — degrading beats hanging, and the skipped
-    /// responder's stale TLB is the checker's to catch.
+    /// A synchronization wait outlived the armed deadline with `targets`
+    /// still pending: the responder a unicast wait is on, or a round's
+    /// live stragglers. While retries remain, re-send each a unicast
+    /// shootdown IPI — the original, or its multicast relay, may have been
+    /// lost — and push the deadline out by the backed-off timeout. Once
+    /// exhausted, file a [`WatchdogReport`] per target and, with health
+    /// tracking, evict it, so this and every other initiator completes
+    /// against the reduced quorum; without, excuse it from this
+    /// operation's round (a unicast wait just moves on to the next
+    /// responder). Degrading beats hanging, and a skipped responder's
+    /// stale TLB is the checker's to catch.
     fn watchdog_expired<S: HasKernel>(
         &mut self,
         ctx: &mut Ctx<'_, S, ()>,
-        cpu: CpuId,
+        targets: &[CpuId],
         wd: crate::state::WatchdogConfig,
     ) -> Step {
         let me = ctx.cpu_id;
@@ -519,29 +538,22 @@ impl PmapOpProcess {
             self.wait_retries += 1;
             // timeout, then timeout*backoff, then timeout*backoff^2, ...
             self.wait_deadline = Some(now + wd.retry_timeout(self.wait_retries));
-            // Re-send regardless of ipi_pending: the flag still set is
-            // exactly the symptom of a lost delivery. Keep it set so
-            // healthy initiators continue to suppress their own sends.
-            ctx.shared.kernel_mut().ipi_pending[cpu.index()] = true;
-            ctx.send_ipi(cpu, SHOOTDOWN_VECTOR);
-            let stats = &mut ctx.shared.kernel_mut().stats;
-            stats.ipis_sent += 1;
-            stats.ipi_retries += 1;
-            note_ipi(ctx, cpu);
-            if let Some(span) = self.span {
-                ctx.shared.kernel_mut().trace.record_arg(
-                    me,
-                    span,
-                    TracePhase::Retry,
-                    TraceEdge::Mark,
-                    now,
-                    cpu.index() as u32,
-                );
+            let mut cost = Dur::ZERO;
+            for &cpu in targets {
+                // Re-send regardless of ipi_pending: the flag still set is
+                // exactly the symptom of a lost delivery. Keep it set so
+                // healthy initiators continue to suppress their own sends.
+                send_shootdown_ipi(ctx, cpu);
+                ctx.shared.kernel_mut().stats.ipi_retries += 1;
+                self.mark(ctx, TracePhase::Retry, cpu.index() as u32);
+                cost += ctx.costs().ipi_send;
             }
-            Step::Run(ctx.costs().ipi_send)
-        } else {
-            let retries = self.wait_retries;
-            let health = ctx.shared.kernel().config.health;
+            return Step::Run(cost);
+        }
+        let health = ctx.shared.kernel().config.health;
+        let retries = self.wait_retries;
+        let mut cost = ctx.costs().local_op;
+        for &cpu in targets {
             let k = ctx.shared.kernel_mut();
             k.stats.watchdog_gaveup += 1;
             k.watchdog_reports.push(WatchdogReport {
@@ -550,130 +562,36 @@ impl PmapOpProcess {
                 target: cpu,
                 retries,
             });
-            let mut cost = ctx.costs().local_op;
             if health.enabled {
-                // The responder is declared fail-stop dead: evict it from
-                // the active/idle sets and every pmap's in-use set, so
-                // this and every other initiator completes against the
-                // reduced quorum. Leaving those sets can satisfy other
-                // waiters, hence the sync notification.
-                let completed = crate::health::evict(ctx.shared.kernel_mut(), me, cpu, now);
-                ctx.notify(SYNC_CHANNEL);
-                for pmap in completed {
-                    // The eviction excused the dead processor from rounds;
-                    // any round it completed owes its leader the wake the
-                    // responder would have sent.
-                    ctx.notify(round_channel(pmap));
-                }
-                cost += ctx.bus_write();
-                if let Some(span) = self.span {
-                    ctx.shared.kernel_mut().trace.record_arg(
-                        me,
-                        span,
-                        TracePhase::Evict,
-                        TraceEdge::Mark,
-                        now,
-                        cpu.index() as u32,
-                    );
-                }
-            }
-            self.wait_deadline = None;
-            self.wait_retries = 0;
-            let Phase::Wait { idx } = self.phase else {
-                unreachable!("watchdog fires only in Phase::Wait");
-            };
-            self.phase = Phase::Wait { idx: idx + 1 };
-            Step::Run(cost)
-        }
-    }
-
-    /// The round's acknowledgement wait outlived the armed deadline with
-    /// live (active, in-use, non-idle) targets still pending. While retries
-    /// remain, re-send a unicast shootdown IPI to each — the multicast
-    /// delivery may have been lost in the relay tree — and push the
-    /// deadline out by the backed-off timeout; once exhausted, file a
-    /// report per straggler and (with health tracking) evict it, so the
-    /// round completes against the reduced quorum.
-    fn round_watchdog_expired<S: HasKernel>(
-        &mut self,
-        ctx: &mut Ctx<'_, S, ()>,
-        live: &machtlb_pmap::CpuSet,
-        wd: crate::state::WatchdogConfig,
-    ) -> Step {
-        let me = ctx.cpu_id;
-        let now = ctx.now;
-        if self.wait_retries < wd.max_retries {
-            self.wait_retries += 1;
-            self.wait_deadline = Some(now + wd.retry_timeout(self.wait_retries));
-            let mut cost = Dur::ZERO;
-            for cpu in live.iter() {
-                // Re-send regardless of ipi_pending, as the seed watchdog
-                // does: the flag still set is the symptom of the loss.
-                ctx.shared.kernel_mut().ipi_pending[cpu.index()] = true;
-                ctx.send_ipi(cpu, SHOOTDOWN_VECTOR);
-                let stats = &mut ctx.shared.kernel_mut().stats;
-                stats.ipis_sent += 1;
-                stats.ipi_retries += 1;
-                note_ipi(ctx, cpu);
-                if let Some(span) = self.span {
-                    ctx.shared.kernel_mut().trace.record_arg(
-                        me,
-                        span,
-                        TracePhase::Retry,
-                        TraceEdge::Mark,
-                        now,
-                        cpu.index() as u32,
-                    );
-                }
-                cost += ctx.costs().ipi_send;
-            }
-            return Step::Run(cost);
-        }
-        let health = ctx.shared.kernel().config.health;
-        let retries = self.wait_retries;
-        let mut cost = ctx.costs().local_op;
-        for cpu in live.iter() {
-            {
-                let k = ctx.shared.kernel_mut();
-                k.stats.watchdog_gaveup += 1;
-                k.watchdog_reports.push(WatchdogReport {
-                    at: now,
-                    initiator: me,
-                    target: cpu,
-                    retries,
-                });
-            }
-            if health.enabled {
-                let completed = crate::health::evict(ctx.shared.kernel_mut(), me, cpu, now);
-                ctx.notify(SYNC_CHANNEL);
-                for pmap in completed {
-                    ctx.notify(round_channel(pmap));
-                }
-                cost += ctx.bus_write();
-                if let Some(span) = self.span {
-                    ctx.shared.kernel_mut().trace.record_arg(
-                        me,
-                        span,
-                        TracePhase::Evict,
-                        TraceEdge::Mark,
-                        now,
-                        cpu.index() as u32,
-                    );
-                }
-            } else {
-                // Without health tracking, skip the straggler exactly as
-                // the seed wait would: excuse it and let Phase::RoundEnqueue
-                // hand it a fallback queue action.
-                let k = ctx.shared.kernel_mut();
-                if let Some(r) = k.rounds.iter_mut().find(|r| Some(r.id) == self.round_id) {
-                    r.excuse(cpu);
-                    k.stats.round_excused += 1;
-                }
+                // The responder is declared fail-stop dead.
+                cost += evict_and_wake(ctx, cpu);
+                self.mark(ctx, TracePhase::Evict, cpu.index() as u32);
+            } else if let Some(r) = k.round_mut(self.round_id) {
+                // Skip the straggler exactly as the unicast wait would:
+                // excuse it and let Phase::RoundEnqueue hand it a
+                // fallback queue action.
+                r.excuse(cpu);
+                k.stats.round_excused += 1;
             }
         }
         self.wait_deadline = None;
         self.wait_retries = 0;
+        if let Phase::Wait { idx } = self.phase {
+            self.phase = Phase::Wait { idx: idx + 1 };
+        }
         Step::Run(cost)
+    }
+
+    /// Records a `phase` mark carrying `arg` (a processor index, or a
+    /// target count) on this operation's span, if it has one.
+    fn mark<S: HasKernel>(&self, ctx: &mut Ctx<'_, S, ()>, phase: TracePhase, arg: u32) {
+        if let Some(span) = self.span {
+            let (me, now) = (ctx.cpu_id, ctx.now);
+            ctx.shared
+                .kernel_mut()
+                .trace
+                .record_arg(me, span, phase, TraceEdge::Mark, now, arg);
+        }
     }
 }
 
@@ -732,18 +650,7 @@ impl<S: HasKernel> Process<S, ()> for PmapOpProcess {
                     )
                 };
                 if acquired {
-                    self.shard_gens.push(gen);
-                    self.shards_held += 1;
-                    if self.shards_held == self.shards_needed.len() {
-                        self.phase = Phase::Check;
-                    }
-                    // The lock word lives in the pmap's home-node memory:
-                    // the interlocked access pays the interconnect when the
-                    // toucher sits on another node.
-                    let home = ctx.shared.kernel().pmaps.get(self.pmap_id).home();
-                    let cost = ctx.costs().lock_acquire + ctx.bus_interlocked_at(home);
-                    note_lock_ref(ctx, home);
-                    return Step::Run(cost);
+                    return self.took_shard(ctx, gen, Dur::ZERO);
                 }
                 // Contended: probe the holder's liveness before waiting. A
                 // fail-stop holder will never release; recover per policy
@@ -769,16 +676,7 @@ impl<S: HasKernel> Process<S, ()> for PmapOpProcess {
                             // by their watchdog deadline) retry the lock.
                             k.rounds
                                 .retain(|r| !(r.pmap == self.pmap_id && r.initiator == h));
-                            self.shard_gens.push(gen);
-                            self.shards_held += 1;
-                            if self.shards_held == self.shards_needed.len() {
-                                self.phase = Phase::Check;
-                            }
-                            let home = ctx.shared.kernel().pmaps.get(self.pmap_id).home();
-                            let cost =
-                                ctx.costs().lock_acquire + probe + ctx.bus_interlocked_at(home);
-                            note_lock_ref(ctx, home);
-                            return Step::Run(cost);
+                            return self.took_shard(ctx, gen, probe);
                         }
                         RecoveryPolicy::FailOp => {
                             self.outcome.dead_lock_holder = Some(h);
@@ -882,34 +780,14 @@ impl<S: HasKernel> Process<S, ()> for PmapOpProcess {
                 Step::Run(ctx.costs().local_op * 2)
             }
             Phase::LocalInvalidate => {
-                let cost = self.invalidate_local(ctx);
+                let cost = invalidate(ctx, self.pmap_id, tlb_range(self.op));
                 self.phase = self.after_local_phase(ctx.shared.kernel(), me);
                 Step::Run(cost)
             }
             Phase::QueueScan { next } => {
                 self.trace_begin_span(ctx, TracePhase::QueueActions);
-                // A wakeup's backfilled iterations all spun on the lock the
-                // process blocked on (the wake instant is the first check at
-                // which anything it read could have changed), which is not
-                // necessarily the lock the rescan below finds.
-                if let Some(spun) = self.spun_on_queue.take() {
-                    let woken = ctx.woken_spins();
-                    ctx.shared.kernel_mut().queue_locks[spun.index()].charge_spins(woken);
-                }
-                // Find the next other processor using this pmap.
-                let target = (next..ctx.shared.kernel_mut().n_cpus as u32)
-                    .map(CpuId::new)
-                    .find(|&c| {
-                        c != me
-                            && ctx
-                                .shared
-                                .kernel_mut()
-                                .pmaps
-                                .get(self.pmap_id)
-                                .in_use()
-                                .contains(c)
-                    });
-                let Some(cpu) = target else {
+                self.charge_queue_spins(ctx);
+                let Some(cpu) = self.next_user(ctx.shared.kernel(), me, next) else {
                     self.phase = if self.wait_list.is_empty() {
                         // Nothing to interrupt or wait for (all users
                         // idle): proceed straight to the update.
@@ -924,59 +802,16 @@ impl<S: HasKernel> Process<S, ()> for PmapOpProcess {
                 // possibly-cached set excludes the whole range holds no
                 // stale translation and cannot acquire one — skip its
                 // queue action, IPI, and synchronization entirely.
-                if self.pre_invalidated
-                    && !ctx.shared.kernel().tlbs[cpu.index()]
-                        .possibly_caches(self.pmap_id, &[self.invalidate_range()])
-                {
-                    let k = ctx.shared.kernel_mut();
-                    if !k.idle.contains(cpu) && !k.ipi_pending[cpu.index()] {
-                        k.stats.ipis_filtered += 1;
-                    }
-                    if let Some(span) = self.span {
-                        let now = ctx.now;
-                        ctx.shared.kernel_mut().trace.record_arg(
-                            me,
-                            span,
-                            TracePhase::Filter,
-                            TraceEdge::Mark,
-                            now,
-                            cpu.index() as u32,
-                        );
-                    }
+                if self.filtered_out(ctx.shared.kernel(), cpu, &[tlb_range(self.op)]) {
+                    self.note_filtered(ctx, cpu);
                     self.phase = Phase::QueueScan {
                         next: cpu.index() as u32 + 1,
                     };
                     return Step::Run(ctx.costs().cache_read);
                 }
-                // lock_action_structure(cpu)
-                if !ctx.shared.kernel_mut().queue_locks[cpu.index()].try_acquire(me) {
-                    // The retried check re-reads the pmap's user set as
-                    // well as the lock, so listen for membership changes
-                    // (the sync channel) alongside the lock's releases.
-                    self.spun_on_queue = Some(cpu);
-                    let spin = ctx.costs().spin_check();
-                    return Step::Block(BlockOn::two(queue_lock_channel(cpu), SYNC_CHANNEL, spin));
-                }
-                // queue_action; action_needed[cpu] = TRUE; unlock.
-                let outcome = ctx.shared.kernel_mut().queues[cpu.index()].enqueue(Action {
-                    pmap: self.pmap_id,
-                    range: self.invalidate_range(),
-                });
-                if let crate::queue::EnqueueOutcome::Coalesced { avoided_overflow } = outcome {
-                    let stats = &mut ctx.shared.kernel_mut().stats;
-                    stats.actions_coalesced += 1;
-                    if avoided_overflow {
-                        stats.queue_overflows_avoided += 1;
-                    }
-                }
-                ctx.shared.kernel_mut().action_needed[cpu.index()] = true;
-                ctx.shared.kernel_mut().queue_locks[cpu.index()].release(me);
-                ctx.notify(queue_lock_channel(cpu));
-                if let Some(span) = self.span {
-                    // Link the responder's eventual drain back to this
-                    // shootdown.
-                    ctx.shared.kernel_mut().trace.set_pending(cpu, span);
-                }
+                let Some(cost) = self.post_actions(ctx, cpu, &[tlb_range(self.op)]) else {
+                    return self.block_on_queue(ctx, cpu);
+                };
                 self.outcome.shootdown = true;
                 // Idle processors get queued actions but no interrupt and
                 // no synchronization.
@@ -990,15 +825,6 @@ impl<S: HasKernel> Process<S, ()> for PmapOpProcess {
                 self.phase = Phase::QueueScan {
                     next: cpu.index() as u32 + 1,
                 };
-                // The queue and its lock live in the target's node memory.
-                let qhome = ctx.node_of(cpu);
-                let cost = ctx.costs().lock_acquire
-                    + ctx.costs().queue_action
-                    + ctx.costs().lock_release
-                    + ctx.bus_interlocked_at(qhome)
-                    + ctx.bus_write_at(qhome)
-                    + ctx.bus_write_at(qhome);
-                note_lock_ref(ctx, qhome);
                 Step::Run(cost)
             }
             Phase::SendIpis { idx } => {
@@ -1008,21 +834,11 @@ impl<S: HasKernel> Process<S, ()> for PmapOpProcess {
                     // One poke interrupts every other processor.
                     ctx.broadcast_ipi(SHOOTDOWN_VECTOR);
                     ctx.shared.kernel_mut().stats.ipis_sent += ctx.n_cpus() as u64 - 1;
-                    let now = ctx.now;
                     for c in 0..ctx.shared.kernel_mut().n_cpus {
                         if c != me.index() {
                             ctx.shared.kernel_mut().ipi_pending[c] = true;
                             note_ipi(ctx, CpuId::new(c as u32));
-                            if let Some(span) = self.span {
-                                ctx.shared.kernel_mut().trace.record_arg(
-                                    me,
-                                    span,
-                                    TracePhase::IpiSend,
-                                    TraceEdge::Mark,
-                                    now,
-                                    c as u32,
-                                );
-                            }
+                            self.mark(ctx, TracePhase::IpiSend, c as u32);
                         }
                     }
                     self.phase = Phase::Wait { idx: 0 };
@@ -1035,17 +851,7 @@ impl<S: HasKernel> Process<S, ()> for PmapOpProcess {
                 ctx.send_ipi(target, SHOOTDOWN_VECTOR);
                 ctx.shared.kernel_mut().stats.ipis_sent += 1;
                 note_ipi(ctx, target);
-                if let Some(span) = self.span {
-                    let now = ctx.now;
-                    ctx.shared.kernel_mut().trace.record_arg(
-                        me,
-                        span,
-                        TracePhase::IpiSend,
-                        TraceEdge::Mark,
-                        now,
-                        target.index() as u32,
-                    );
-                }
+                self.mark(ctx, TracePhase::IpiSend, target.index() as u32);
                 self.phase = Phase::SendIpis { idx: idx + 1 };
                 Step::Run(ctx.costs().ipi_send)
             }
@@ -1090,7 +896,7 @@ impl<S: HasKernel> Process<S, ()> for PmapOpProcess {
                     let now = ctx.now;
                     let deadline = *self.wait_deadline.get_or_insert(now + wd.timeout);
                     if now >= deadline {
-                        return self.watchdog_expired(ctx, cpu, wd);
+                        return self.watchdog_expired(ctx, &[cpu], wd);
                     }
                     // Also wake spuriously at the deadline so the expiry
                     // check above runs on time.
@@ -1135,13 +941,7 @@ impl<S: HasKernel> Process<S, ()> for PmapOpProcess {
                 let mut cost = Dur::ZERO;
                 for i in 0..chunk {
                     let (vpn, _) = self.changes[applied + i];
-                    cost += ctx.costs().pmap_update_per_page + ctx.bus_write();
-                    ctx.shared
-                        .kernel_mut()
-                        .pmaps
-                        .get_mut(self.pmap_id)
-                        .table_mut()
-                        .set(vpn, Pte::INVALID);
+                    cost += self.write_pte(ctx, vpn, Pte::INVALID);
                 }
                 self.phase = Phase::PreInvalidatePt {
                     applied: applied + chunk,
@@ -1154,25 +954,13 @@ impl<S: HasKernel> Process<S, ()> for PmapOpProcess {
                 // out of the responders' TLBs without involving the
                 // responders." Each remote entry invalidation is a bus
                 // transaction.
-                let target = (next..ctx.shared.kernel_mut().n_cpus as u32)
-                    .map(CpuId::new)
-                    .find(|&c| {
-                        c != me
-                            && ctx
-                                .shared
-                                .kernel_mut()
-                                .pmaps
-                                .get(self.pmap_id)
-                                .in_use()
-                                .contains(c)
-                    });
-                let Some(cpu) = target else {
+                let Some(cpu) = self.next_user(ctx.shared.kernel(), me, next) else {
                     self.t_sync_done = Some(ctx.now);
                     self.outcome.shootdown = true;
                     self.phase = Phase::Apply;
                     return Step::Run(ctx.costs().local_op);
                 };
-                let range = self.invalidate_range();
+                let range = tlb_range(self.op);
                 let single = ctx.costs().tlb_invalidate_single;
                 let bus = ctx.bus_write();
                 let n =
@@ -1196,7 +984,7 @@ impl<S: HasKernel> Process<S, ()> for PmapOpProcess {
                     let words = users.word_count() as u32;
                     (users.intersection(&k.active).difference(&k.idle), words)
                 };
-                let range = self.invalidate_range();
+                let range = tlb_range(self.op);
                 // Residency filter (see Phase::QueueScan): drop targets
                 // that cannot hold the translation from the round's
                 // acknowledgement set before it is published. A dropped
@@ -1204,31 +992,14 @@ impl<S: HasKernel> Process<S, ()> for PmapOpProcess {
                 // re-checks it against the final fallback ranges.
                 let mut filter_cost = Dur::ZERO;
                 if self.pre_invalidated {
-                    let dropped: Vec<CpuId> = {
-                        let k = ctx.shared.kernel();
-                        targets
-                            .iter()
-                            .filter(|c| !k.tlbs[c.index()].possibly_caches(self.pmap_id, &[range]))
-                            .collect()
-                    };
+                    let dropped: Vec<CpuId> = targets
+                        .iter()
+                        .filter(|&c| self.filtered_out(ctx.shared.kernel(), c, &[range]))
+                        .collect();
                     filter_cost = ctx.costs().cache_read * targets.len() as u64;
-                    let now = ctx.now;
                     for c in dropped {
                         targets.remove(c);
-                        let k = ctx.shared.kernel_mut();
-                        if !k.ipi_pending[c.index()] {
-                            k.stats.ipis_filtered += 1;
-                        }
-                        if let Some(span) = self.span {
-                            ctx.shared.kernel_mut().trace.record_arg(
-                                me,
-                                span,
-                                TracePhase::Filter,
-                                TraceEdge::Mark,
-                                now,
-                                c.index() as u32,
-                            );
-                        }
+                        self.note_filtered(ctx, c);
                     }
                 }
                 let shards = self.shards_needed.clone();
@@ -1289,12 +1060,8 @@ impl<S: HasKernel> Process<S, ()> for PmapOpProcess {
                 // acknowledges it, so a second delivery is redundant.
                 let mut send: Vec<CpuId> = {
                     let k = ctx.shared.kernel();
-                    let r = k
-                        .rounds
-                        .iter()
-                        .find(|r| Some(r.id) == self.round_id)
-                        .expect("the leader's round lives until it unlocks");
-                    r.pending
+                    self.round(k)
+                        .pending
                         .iter()
                         .filter(|c| !k.ipi_pending[c.index()])
                         .collect()
@@ -1317,17 +1084,7 @@ impl<S: HasKernel> Process<S, ()> for PmapOpProcess {
                 ctx.multicast_ipi(send.clone(), SHOOTDOWN_VECTOR, degree);
                 ctx.shared.kernel_mut().stats.ipis_sent += n as u64;
                 self.send_list.extend(send);
-                if let Some(span) = self.span {
-                    let now = ctx.now;
-                    ctx.shared.kernel_mut().trace.record_arg(
-                        me,
-                        span,
-                        TracePhase::IpiSend,
-                        TraceEdge::Mark,
-                        now,
-                        n as u32,
-                    );
-                }
+                self.mark(ctx, TracePhase::IpiSend, n as u32);
                 // One descriptor post, regardless of the target count: the
                 // relay tree does the rest off this processor.
                 Step::Run(ctx.costs().ipi_send)
@@ -1337,11 +1094,7 @@ impl<S: HasKernel> Process<S, ()> for PmapOpProcess {
                 let now = ctx.now;
                 let (ridx, remaining) = {
                     let k = ctx.shared.kernel();
-                    let i = k
-                        .rounds
-                        .iter()
-                        .position(|r| Some(r.id) == self.round_id)
-                        .expect("the leader's round lives until it unlocks");
+                    let i = k.round_index(self.round_id).expect(LEADER_ROUND);
                     (i, k.rounds[i].remaining)
                 };
                 if remaining == 0 {
@@ -1385,7 +1138,8 @@ impl<S: HasKernel> Process<S, ()> for PmapOpProcess {
                 if wd.enabled {
                     let deadline = *self.wait_deadline.get_or_insert(now + wd.timeout);
                     if now >= deadline {
-                        return self.round_watchdog_expired(ctx, &live, wd);
+                        let live: Vec<CpuId> = live.iter().collect();
+                        return self.watchdog_expired(ctx, &live, wd);
                     }
                 }
                 // The round channel fires exactly once, when the last
@@ -1403,16 +1157,7 @@ impl<S: HasKernel> Process<S, ()> for PmapOpProcess {
                 if self.own_pages.is_none() {
                     self.own_pages = Some(self.changes.len() as u64);
                 }
-                let joiner = {
-                    let k = ctx.shared.kernel();
-                    k.rounds
-                        .iter()
-                        .find(|r| Some(r.id) == self.round_id)
-                        .expect("the leader's round lives until it unlocks")
-                        .joiners
-                        .get(idx)
-                        .copied()
-                };
+                let joiner = self.round(ctx.shared.kernel()).joiners.get(idx).copied();
                 let Some((cpu, jop)) = joiner else {
                     self.phase = Phase::RoundEnqueue { idx: 0 };
                     return Step::Run(ctx.costs().local_op);
@@ -1422,32 +1167,20 @@ impl<S: HasKernel> Process<S, ()> for PmapOpProcess {
                 let jchanges =
                     Self::plan_for(jop, ctx.shared.kernel().pmaps.get(self.pmap_id).table());
                 let n = jchanges.len();
-                let now = ctx.now;
                 let mut cost = ctx.costs().local_op;
                 for &(vpn, pte) in &jchanges {
-                    cost += ctx.costs().pmap_update_per_page + ctx.bus_write();
-                    let kernel = ctx.shared.kernel_mut();
-                    let old = kernel.pmaps.get(self.pmap_id).table().get(vpn);
-                    kernel.pmaps.get_mut(self.pmap_id).table_mut().set(vpn, pte);
-                    let upgrade = pte.valid
-                        && (!old.valid || (old.pfn == pte.pfn && old.prot.is_subset_of(pte.prot)));
-                    if upgrade {
-                        kernel.checker.commit(self.pmap_id, vpn, pte, now);
-                    }
+                    cost += self.write_pte(ctx, vpn, pte);
                 }
                 if jop.may_reduce_rights() && n > 0 {
                     // The joiner's rights reductions ride the round's
                     // post-unlock cleanup pass (for acknowledged
                     // responders) and the fallback queue actions (for
                     // everyone else).
-                    let jrange = jop
-                        .range()
-                        .unwrap_or_else(|| PageRange::new(Vpn::new(0), machtlb_pmap::VPN_SPAN));
-                    let k = ctx.shared.kernel_mut();
-                    k.rounds
-                        .iter_mut()
-                        .find(|r| Some(r.id) == self.round_id)
-                        .expect("the leader's round lives until it unlocks")
+                    let jrange = tlb_range(jop);
+                    ctx.shared
+                        .kernel_mut()
+                        .round_mut(self.round_id)
+                        .expect(LEADER_ROUND)
                         .extras
                         .push(jrange);
                     self.fallback_ranges.push(jrange);
@@ -1456,14 +1189,7 @@ impl<S: HasKernel> Process<S, ()> for PmapOpProcess {
                 {
                     let k = ctx.shared.kernel_mut();
                     k.stats.pmap_ops += 1;
-                    let pmap = k.pmaps.get_mut(self.pmap_id);
-                    match jop {
-                        PmapOp::Enter { .. } => pmap.stats_mut().enters += 1,
-                        PmapOp::Remove { .. } => pmap.stats_mut().removes += 1,
-                        PmapOp::Protect { .. } => pmap.stats_mut().protects += 1,
-                        PmapOp::Destroy => pmap.stats_mut().destroys += 1,
-                        PmapOp::ClearRefBits { .. } => pmap.stats_mut().ref_clears += 1,
-                    }
+                    count_op(k.pmaps.get_mut(self.pmap_id).stats_mut(), jop);
                 }
                 // The joiner's changes commit with the leader's at Unlock.
                 self.changes.extend(jchanges);
@@ -1476,11 +1202,7 @@ impl<S: HasKernel> Process<S, ()> for PmapOpProcess {
                 if !self.fallback_built {
                     self.fallback_built = true;
                     let k = ctx.shared.kernel();
-                    let r = k
-                        .rounds
-                        .iter()
-                        .find(|r| Some(r.id) == self.round_id)
-                        .expect("the leader's round lives until it unlocks");
+                    let r = self.round(k);
                     self.fallback_list = k
                         .pmaps
                         .get(self.pmap_id)
@@ -1488,12 +1210,9 @@ impl<S: HasKernel> Process<S, ()> for PmapOpProcess {
                         .iter()
                         .filter(|&c| c != me && !r.cleanup.contains(c))
                         .collect();
-                    self.fallback_ranges.insert(0, self.invalidate_range());
+                    self.fallback_ranges.insert(0, tlb_range(self.op));
                 }
-                if let Some(spun) = self.spun_on_queue.take() {
-                    let woken = ctx.woken_spins();
-                    ctx.shared.kernel_mut().queue_locks[spun.index()].charge_spins(woken);
-                }
+                self.charge_queue_spins(ctx);
                 let Some(&cpu) = self.fallback_list.get(idx) else {
                     self.phase = Phase::Unlock;
                     return Step::Run(ctx.costs().local_op);
@@ -1505,72 +1224,21 @@ impl<S: HasKernel> Process<S, ()> for PmapOpProcess {
                 // fallback range holds no stale translation and any later
                 // reload reads the final values — skip its queue action
                 // and poke.
-                if self.pre_invalidated
-                    && !ctx.shared.kernel().tlbs[cpu.index()]
-                        .possibly_caches(self.pmap_id, &self.fallback_ranges)
-                {
-                    let k = ctx.shared.kernel_mut();
-                    if !k.idle.contains(cpu) && !k.ipi_pending[cpu.index()] {
-                        k.stats.ipis_filtered += 1;
-                    }
-                    if let Some(span) = self.span {
-                        let now = ctx.now;
-                        ctx.shared.kernel_mut().trace.record_arg(
-                            me,
-                            span,
-                            TracePhase::Filter,
-                            TraceEdge::Mark,
-                            now,
-                            cpu.index() as u32,
-                        );
-                    }
+                if self.filtered_out(ctx.shared.kernel(), cpu, &self.fallback_ranges) {
+                    self.note_filtered(ctx, cpu);
                     self.phase = Phase::RoundEnqueue { idx: idx + 1 };
                     return Step::Run(ctx.costs().cache_read);
                 }
-                // lock_action_structure(cpu), exactly as the seed scan.
-                if !ctx.shared.kernel_mut().queue_locks[cpu.index()].try_acquire(me) {
-                    self.spun_on_queue = Some(cpu);
-                    let spin = ctx.costs().spin_check();
-                    return Step::Block(BlockOn::two(queue_lock_channel(cpu), SYNC_CHANNEL, spin));
-                }
-                let qhome = ctx.node_of(cpu);
-                let mut cost = ctx.costs().lock_acquire
-                    + ctx.costs().lock_release
-                    + ctx.bus_interlocked_at(qhome)
-                    + ctx.bus_write_at(qhome)
-                    + ctx.bus_write_at(qhome);
-                note_lock_ref(ctx, qhome);
-                for i in 0..self.fallback_ranges.len() {
-                    let range = self.fallback_ranges[i];
-                    let outcome = ctx.shared.kernel_mut().queues[cpu.index()].enqueue(Action {
-                        pmap: self.pmap_id,
-                        range,
-                    });
-                    if let crate::queue::EnqueueOutcome::Coalesced { avoided_overflow } = outcome {
-                        let stats = &mut ctx.shared.kernel_mut().stats;
-                        stats.actions_coalesced += 1;
-                        if avoided_overflow {
-                            stats.queue_overflows_avoided += 1;
-                        }
-                    }
-                    cost += ctx.costs().queue_action;
-                }
-                ctx.shared.kernel_mut().action_needed[cpu.index()] = true;
-                ctx.shared.kernel_mut().queue_locks[cpu.index()].release(me);
-                ctx.notify(queue_lock_channel(cpu));
-                if let Some(span) = self.span {
-                    ctx.shared.kernel_mut().trace.set_pending(cpu, span);
-                }
+                let Some(mut cost) = self.post_actions(ctx, cpu, &self.fallback_ranges) else {
+                    return self.block_on_queue(ctx, cpu);
+                };
                 // Idle processors drain at exit-idle; everyone else (a
                 // concurrent initiator with no interrupt latched) must be
                 // poked or the queued action would never be consumed.
                 if !ctx.shared.kernel_mut().idle.contains(cpu)
                     && !ctx.shared.kernel_mut().ipi_pending[cpu.index()]
                 {
-                    ctx.shared.kernel_mut().ipi_pending[cpu.index()] = true;
-                    ctx.send_ipi(cpu, SHOOTDOWN_VECTOR);
-                    ctx.shared.kernel_mut().stats.ipis_sent += 1;
-                    note_ipi(ctx, cpu);
+                    send_shootdown_ipi(ctx, cpu);
                     self.send_list.push(cpu);
                     cost += ctx.costs().ipi_send;
                 }
@@ -1595,13 +1263,11 @@ impl<S: HasKernel> Process<S, ()> for PmapOpProcess {
                 }
                 let spin = ctx.costs().spin_check();
                 let health = ctx.shared.kernel().config.health;
-                let leader = {
-                    let k = ctx.shared.kernel();
-                    k.rounds
-                        .iter()
-                        .find(|r| Some(r.id) == self.round_id)
-                        .map(|r| r.initiator)
-                };
+                let leader = ctx
+                    .shared
+                    .kernel()
+                    .round(self.round_id)
+                    .map(|r| r.initiator);
                 let Some(leader) = leader else {
                     // The round vanished (its leader died and the lock was
                     // stolen): fall back to ordinary lock contention.
@@ -1612,8 +1278,7 @@ impl<S: HasKernel> Process<S, ()> for PmapOpProcess {
                 if health.enabled && ctx.is_cpu_halted(leader) {
                     // Withdraw the staged join and take the normal
                     // dead-holder recovery in Phase::Lock.
-                    let k = ctx.shared.kernel_mut();
-                    if let Some(r) = k.rounds.iter_mut().find(|r| Some(r.id) == self.round_id) {
+                    if let Some(r) = ctx.shared.kernel_mut().round_mut(self.round_id) {
                         r.joiners.retain(|&(c, _)| c != me);
                     }
                     self.round_id = None;
@@ -1642,25 +1307,9 @@ impl<S: HasKernel> Process<S, ()> for PmapOpProcess {
                 }
                 let chunk = remaining.min(APPLY_CHUNK);
                 let mut cost = Dur::ZERO;
-                let now = ctx.now;
                 for i in 0..chunk {
                     let (vpn, pte) = self.changes[self.applied + i];
-                    cost += ctx.costs().pmap_update_per_page + ctx.bus_write();
-                    let kernel = ctx.shared.kernel_mut();
-                    let old = kernel.pmaps.get(self.pmap_id).table().get(vpn);
-                    kernel.pmaps.get_mut(self.pmap_id).table_mut().set(vpn, pte);
-                    // Rights-adding changes are legal to use the instant
-                    // they land in the page table: a concurrent hardware
-                    // walk (which honours no locks) may cache them before
-                    // this operation completes, and that is fine — only
-                    // rights *removal* needs the completion barrier.
-                    let upgrade = pte.valid
-                        && (!old.valid || (old.pfn == pte.pfn && old.prot.is_subset_of(pte.prot)));
-                    if upgrade {
-                        kernel.checker.commit(self.pmap_id, vpn, pte, now);
-                    } else if kernel.config.strategy == Strategy::TimerDelayed {
-                        self.deferred.push((vpn, pte));
-                    }
+                    cost += self.write_pte(ctx, vpn, pte);
                 }
                 self.applied += chunk;
                 Step::Run(cost)
@@ -1699,7 +1348,7 @@ impl<S: HasKernel> Process<S, ()> for PmapOpProcess {
                     // the unlocked flag set — and the joiners, who must
                     // find their results.
                     let k = ctx.shared.kernel_mut();
-                    if let Some(i) = k.rounds.iter().position(|r| r.id == id) {
+                    if let Some(i) = k.round_index(Some(id)) {
                         k.rounds[i].unlocked = true;
                         if k.rounds[i].cleanup_remaining == 0 {
                             // Every acknowledged responder was excused or
@@ -1717,13 +1366,7 @@ impl<S: HasKernel> Process<S, ()> for PmapOpProcess {
                         let s = self.shards_needed[i];
                         pmap.shard_mut(s).release(me);
                     }
-                    match self.op {
-                        PmapOp::Enter { .. } => pmap.stats_mut().enters += 1,
-                        PmapOp::Remove { .. } => pmap.stats_mut().removes += 1,
-                        PmapOp::Protect { .. } => pmap.stats_mut().protects += 1,
-                        PmapOp::Destroy => pmap.stats_mut().destroys += 1,
-                        PmapOp::ClearRefBits { .. } => pmap.stats_mut().ref_clears += 1,
-                    }
+                    count_op(pmap.stats_mut(), self.op);
                     (pmap.lock().channel(), pmap.home())
                 };
                 if let Some(chan) = lock_chan {
@@ -1801,48 +1444,168 @@ impl PmapOpProcess {
     fn restart_robbed<S: HasKernel>(&mut self, ctx: &mut Ctx<'_, S, ()>) -> Step {
         let me = ctx.cpu_id;
         let now = ctx.now;
-        {
-            let k = ctx.shared.kernel_mut();
-            k.stats.robbed_restarts += 1;
-            // Both steal paths scrub the robbed initiator's round; scrub
-            // again here so the restart never races a future steal site
-            // that forgets to.
-            if let Some(id) = self.round_id.take() {
-                k.rounds.retain(|r| r.id != id);
-            }
+        let k = ctx.shared.kernel_mut();
+        k.stats.robbed_restarts += 1;
+        // Both steal paths scrub the robbed initiator's round; scrub
+        // again here so the restart never races a future steal site
+        // that forgets to.
+        if let Some(i) = k.round_index(self.round_id) {
+            k.rounds.remove(i);
         }
-        if let Some(span) = self.span {
-            let k = ctx.shared.kernel_mut();
-            if let Some(open) = self.open.take() {
-                k.trace.record(me, span, open, TraceEdge::End, now);
-            }
+        if let (Some(span), Some(open)) = (self.span, self.open) {
+            k.trace.record(me, span, open, TraceEdge::End, now);
         }
-        self.shards_held = 0;
-        self.shard_gens.clear();
-        self.wait_list.clear();
-        self.send_list.clear();
-        self.needed = false;
-        self.changes.clear();
-        self.deferred.clear();
-        self.changes_planned = false;
-        self.applied = 0;
-        self.outcome = OpOutcome::default();
-        self.spun_on_queue = None;
-        self.wait_deadline = None;
-        self.wait_retries = 0;
-        self.fallback_list.clear();
-        self.fallback_built = false;
-        self.fallback_ranges.clear();
-        self.joiner_pages.clear();
-        self.own_pages = None;
-        self.pre_invalidated = false;
         // Begin re-saves the mask; restore the pre-op one first so the
         // original is not lost to the re-save.
-        if let Some(mask) = self.saved_mask.take() {
+        if let Some(mask) = self.saved_mask {
             ctx.set_mask(mask);
         }
-        self.phase = Phase::Begin;
+        // Everything else restarts from scratch at Phase::Begin; only the
+        // flight-recorder span carries over, so the retried work stays on
+        // the same shootdown's track.
+        *self = PmapOpProcess {
+            span: self.span,
+            ..PmapOpProcess::new(self.pmap_id, self.op)
+        };
         Step::Run(ctx.costs().local_op + ctx.bus_read())
+    }
+
+    /// Books one more acquired lock shard (`gen` is its steal generation
+    /// at acquisition; `extra` any liveness probe paid first) and moves on
+    /// to the check once every needed shard is held. The lock word lives
+    /// in the pmap's home-node memory: the interlocked access pays the
+    /// interconnect when the toucher sits on another node.
+    fn took_shard<S: HasKernel>(&mut self, ctx: &mut Ctx<'_, S, ()>, gen: u64, extra: Dur) -> Step {
+        self.shard_gens.push(gen);
+        self.shards_held += 1;
+        if self.shards_held == self.shards_needed.len() {
+            self.phase = Phase::Check;
+        }
+        let home = ctx.shared.kernel().pmaps.get(self.pmap_id).home();
+        let cost = ctx.costs().lock_acquire + extra + ctx.bus_interlocked_at(home);
+        note_lock_ref(ctx, home);
+        Step::Run(cost)
+    }
+
+    /// The round this operation leads.
+    fn round<'k>(&self, k: &'k KernelState) -> &'k ShootdownRound {
+        k.round(self.round_id).expect(LEADER_ROUND)
+    }
+
+    /// The first processor other than `me`, numbered `from` or above,
+    /// that uses this operation's pmap.
+    fn next_user(&self, k: &KernelState, me: CpuId, from: u32) -> Option<CpuId> {
+        let users = k.pmaps.get(self.pmap_id).in_use();
+        (from..k.n_cpus as u32)
+            .map(CpuId::new)
+            .find(|&c| c != me && users.contains(c))
+    }
+
+    /// Writes one page-table entry and returns the cost. Rights-adding
+    /// changes are legal to use the instant they land in the page table:
+    /// a concurrent hardware walk (which honours no locks) may cache them
+    /// before this operation completes, and that is fine — only rights
+    /// *removal* needs the completion barrier, which the timer-delayed
+    /// strategy defers to the flush epoch. An invalid entry is never an
+    /// upgrade.
+    fn write_pte<S: HasKernel>(&mut self, ctx: &mut Ctx<'_, S, ()>, vpn: Vpn, pte: Pte) -> Dur {
+        let cost = ctx.costs().pmap_update_per_page + ctx.bus_write();
+        let now = ctx.now;
+        let kernel = ctx.shared.kernel_mut();
+        let old = kernel.pmaps.get(self.pmap_id).table().get(vpn);
+        kernel.pmaps.get_mut(self.pmap_id).table_mut().set(vpn, pte);
+        let upgrade =
+            pte.valid && (!old.valid || (old.pfn == pte.pfn && old.prot.is_subset_of(pte.prot)));
+        if upgrade {
+            kernel.checker.commit(self.pmap_id, vpn, pte, now);
+        } else if kernel.config.strategy == Strategy::TimerDelayed {
+            self.deferred.push((vpn, pte));
+        }
+        cost
+    }
+
+    /// Whether the residency filter may skip `cpu`: only once
+    /// [`Phase::PreInvalidatePt`] has written the entries invalid, and
+    /// only if its possibly-cached set excludes every one of `ranges`.
+    fn filtered_out(&self, k: &KernelState, cpu: CpuId, ranges: &[PageRange]) -> bool {
+        self.pre_invalidated && !k.tlbs[cpu.index()].possibly_caches(self.pmap_id, ranges)
+    }
+
+    /// Books a target the residency filter skipped: an IPI saved, when
+    /// one would have been sent (the target is neither idle nor already
+    /// interrupted), and a filter mark on the span.
+    fn note_filtered<S: HasKernel>(&self, ctx: &mut Ctx<'_, S, ()>, cpu: CpuId) {
+        let k = ctx.shared.kernel_mut();
+        if !k.idle.contains(cpu) && !k.ipi_pending[cpu.index()] {
+            k.stats.ipis_filtered += 1;
+        }
+        self.mark(ctx, TracePhase::Filter, cpu.index() as u32);
+    }
+
+    /// Charges a queue-lock wakeup's backfilled spin iterations to the
+    /// lock the process blocked on (the wake instant is the first check
+    /// at which anything it read could have changed), which is not
+    /// necessarily the lock the next post finds.
+    fn charge_queue_spins<S: HasKernel>(&mut self, ctx: &mut Ctx<'_, S, ()>) {
+        if let Some(spun) = self.spun_on_queue.take() {
+            let woken = ctx.woken_spins();
+            ctx.shared.kernel_mut().queue_locks[spun.index()].charge_spins(woken);
+        }
+    }
+
+    /// Posts queue actions covering `ranges` to `cpu`:
+    /// `lock_action_structure(cpu); queue_action; action_needed[cpu] =
+    /// TRUE; unlock`, linking the responder's eventual drain to this
+    /// shootdown. Returns the cost, or `None` when the queue lock is held
+    /// (see [`PmapOpProcess::block_on_queue`]).
+    fn post_actions<S: HasKernel>(
+        &self,
+        ctx: &mut Ctx<'_, S, ()>,
+        cpu: CpuId,
+        ranges: &[PageRange],
+    ) -> Option<Dur> {
+        let me = ctx.cpu_id;
+        let k = ctx.shared.kernel_mut();
+        if !k.queue_locks[cpu.index()].try_acquire(me) {
+            return None;
+        }
+        for &range in ranges {
+            let outcome = k.queues[cpu.index()].enqueue(Action {
+                pmap: self.pmap_id,
+                range,
+            });
+            if let crate::queue::EnqueueOutcome::Coalesced { avoided_overflow } = outcome {
+                k.stats.actions_coalesced += 1;
+                if avoided_overflow {
+                    k.stats.queue_overflows_avoided += 1;
+                }
+            }
+        }
+        k.action_needed[cpu.index()] = true;
+        k.queue_locks[cpu.index()].release(me);
+        if let Some(span) = self.span {
+            k.trace.set_pending(cpu, span);
+        }
+        ctx.notify(queue_lock_channel(cpu));
+        // The queue and its lock live in the target's node memory.
+        let qhome = ctx.node_of(cpu);
+        let cost = ctx.costs().lock_acquire
+            + ctx.costs().queue_action * ranges.len() as u64
+            + ctx.costs().lock_release
+            + ctx.bus_interlocked_at(qhome)
+            + ctx.bus_write_at(qhome)
+            + ctx.bus_write_at(qhome);
+        note_lock_ref(ctx, qhome);
+        Some(cost)
+    }
+
+    /// One failed check of `cpu`'s queue lock. The retried check re-reads
+    /// the pmap's user set as well as the lock, so listen for membership
+    /// changes (the sync channel) alongside the lock's releases.
+    fn block_on_queue<S: HasKernel>(&mut self, ctx: &Ctx<'_, S, ()>, cpu: CpuId) -> Step {
+        self.spun_on_queue = Some(cpu);
+        let spin = ctx.costs().spin_check();
+        Step::Block(BlockOn::two(queue_lock_channel(cpu), SYNC_CHANNEL, spin))
     }
 
     /// The phase that follows the consistency check / local invalidate,
@@ -1968,19 +1731,13 @@ impl<S: HasKernel> Process<S, ()> for FailOpDriver {
                     return Step::Done(d);
                 }
                 self.retries += 1;
-                let now = ctx.now;
                 let mut cost = d + ctx.costs().local_op;
                 // Declare the corpse dead if the watchdog has not already:
                 // retrying against a holder that never releases would only
                 // reproduce the abort.
                 let k = ctx.shared.kernel();
                 if k.config.health.enabled && !k.evicted[dead.index()] {
-                    let completed = crate::health::evict(ctx.shared.kernel_mut(), me, dead, now);
-                    ctx.notify(SYNC_CHANNEL);
-                    for pmap in completed {
-                        ctx.notify(round_channel(pmap));
-                    }
-                    cost += ctx.bus_write();
+                    cost += evict_and_wake(ctx, dead);
                 }
                 // Reclaim every lock the corpse still holds, so the
                 // re-dispatched operation finds them free.

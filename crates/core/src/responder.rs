@@ -1,7 +1,7 @@
 //! The responder: the shootdown interrupt service routine, and the shared
 //! queue-drain machinery the exit-idle path reuses.
 
-use machtlb_pmap::PmapId;
+use machtlb_pmap::{PageRange, PmapId};
 use machtlb_sim::{BlockOn, Ctx, Dur, Process, Step, Time};
 use machtlb_tlb::InvalidationPlan;
 use machtlb_xpr::{ResponderRecord, ShootdownEvent, SpanId, TraceEdge, TracePhase};
@@ -125,53 +125,6 @@ impl DrainQueue {
         false
     }
 
-    /// Applies one queued action to this processor's TLB, returning the
-    /// cost.
-    fn apply_action<S: HasKernel>(ctx: &mut Ctx<'_, S, ()>, action: Action) -> Dur {
-        let me = ctx.cpu_id;
-        let single = ctx.costs().tlb_invalidate_single;
-        let flush = ctx.costs().tlb_flush_all;
-        let tagged = ctx.shared.kernel_mut().config.tlb.asid_tagged;
-        let current = ctx.shared.kernel_mut().cur_user_pmap[me.index()];
-        // Section 10 extension for ASID-tagged buffers: flush all entries
-        // of an address space that requires an invalidation but is not the
-        // one this processor is executing in, and stop counting the pmap
-        // as in use here.
-        if tagged && !action.pmap.is_kernel() && current != Some(action.pmap) {
-            let cost = if ctx.shared.kernel().config.residency {
-                // ASID-generation recycling: retire the whole address
-                // space in one generation bump instead of walking its
-                // entries — the per-entry invalidations become lazy.
-                let k = ctx.shared.kernel_mut();
-                k.tlbs[me.index()].recycle_pmap(action.pmap);
-                k.stats.asid_recycles += 1;
-                single
-            } else {
-                let n = ctx.shared.kernel_mut().tlbs[me.index()].flush_pmap(action.pmap);
-                single * n.max(1)
-            };
-            ctx.shared
-                .kernel_mut()
-                .pmaps
-                .get_mut(action.pmap)
-                .mark_not_in_use(me);
-            // Dropping out of the user set can satisfy an initiator's wait.
-            ctx.notify(SYNC_CHANNEL);
-            return cost;
-        }
-        let tlb = &mut ctx.shared.kernel_mut().tlbs[me.index()];
-        match tlb.plan_invalidation(action.range) {
-            InvalidationPlan::Individual(n) => {
-                tlb.invalidate_range(action.pmap, action.range);
-                single * n
-            }
-            InvalidationPlan::FullFlush => {
-                tlb.flush_all();
-                flush
-            }
-        }
-    }
-
     pub(crate) fn step<S: HasKernel>(&mut self, ctx: &mut Ctx<'_, S, ()>) -> DrainStatus {
         self.trace_link(ctx);
         let me = ctx.cpu_id;
@@ -269,7 +222,8 @@ impl DrainQueue {
                     return DrainStatus::Running(Step::Run(ctx.costs().local_op));
                 };
                 self.idx += 1;
-                let cost = Self::apply_action(ctx, action);
+                let cost = retire_address_space(ctx, action.pmap)
+                    .unwrap_or_else(|| invalidate(ctx, action.pmap, action.range));
                 DrainStatus::Running(Step::Run(cost))
             }
             DrainPhase::Finish => {
@@ -292,6 +246,65 @@ impl DrainQueue {
             }
         }
     }
+}
+
+/// Invalidates `range` of `pmap` from this processor's TLB — entry by
+/// entry, or by one whole flush past the buffer's threshold — and returns
+/// the cost. Every ranged invalidation goes through here: the initiator's
+/// own, the queue drain's, and the round acknowledgement and cleanup
+/// passes.
+pub(crate) fn invalidate<S: HasKernel>(
+    ctx: &mut Ctx<'_, S, ()>,
+    pmap: PmapId,
+    range: PageRange,
+) -> Dur {
+    let me = ctx.cpu_id;
+    let (single, flush) = (ctx.costs().tlb_invalidate_single, ctx.costs().tlb_flush_all);
+    let tlb = &mut ctx.shared.kernel_mut().tlbs[me.index()];
+    match tlb.plan_invalidation(range) {
+        InvalidationPlan::Individual(n) => {
+            tlb.invalidate_range(pmap, range);
+            single * n
+        }
+        InvalidationPlan::FullFlush => {
+            tlb.flush_all();
+            flush
+        }
+    }
+}
+
+/// Section 10 extension for ASID-tagged buffers: an address space that
+/// requires an invalidation but is not the one this processor is
+/// executing in is dropped whole, and the pmap stops counting as in use
+/// here. Returns the cost, or `None` — invalidate the ranges instead —
+/// when `pmap` is not such an address space.
+fn retire_address_space<S: HasKernel>(ctx: &mut Ctx<'_, S, ()>, pmap: PmapId) -> Option<Dur> {
+    let me = ctx.cpu_id;
+    let k = ctx.shared.kernel();
+    if !k.config.tlb.asid_tagged || pmap.is_kernel() || k.cur_user_pmap[me.index()] == Some(pmap) {
+        return None;
+    }
+    let single = ctx.costs().tlb_invalidate_single;
+    let cost = if k.config.residency {
+        // ASID-generation recycling: retire the whole address space in
+        // one generation bump instead of walking its entries — the
+        // per-entry invalidations become lazy.
+        let k = ctx.shared.kernel_mut();
+        k.tlbs[me.index()].recycle_pmap(pmap);
+        k.stats.asid_recycles += 1;
+        single
+    } else {
+        let n = ctx.shared.kernel_mut().tlbs[me.index()].flush_pmap(pmap);
+        single * n.max(1)
+    };
+    ctx.shared
+        .kernel_mut()
+        .pmaps
+        .get_mut(pmap)
+        .mark_not_in_use(me);
+    // Dropping out of the user set can satisfy an initiator's wait.
+    ctx.notify(SYNC_CHANNEL);
+    Some(cost)
 }
 
 #[derive(Debug)]
@@ -451,56 +464,21 @@ impl<S: HasKernel> Process<S, ()> for ResponderProcess {
                     self.phase = RPhase::RoundStall;
                     return Step::Run(ctx.costs().local_op);
                 };
-                let tagged = ctx.shared.kernel().config.tlb.asid_tagged;
-                let current = ctx.shared.kernel().cur_user_pmap[me.index()];
-                let single = ctx.costs().tlb_invalidate_single;
-                let flush = ctx.costs().tlb_flush_all;
-                let mut cost = Dur::ZERO;
-                let mut leave_cleanup = false;
-                if tagged && !pmap.is_kernel() && current != Some(pmap) {
-                    // Section 10: flush every entry of an address space this
-                    // processor is not executing in and stop counting the
-                    // pmap as in use. Nothing can be re-cached afterwards,
-                    // so the post-unlock cleanup pass is unnecessary too.
-                    if ctx.shared.kernel().config.residency {
-                        // ASID-generation recycling, as in the queue-drain
-                        // path: one bump retires the address space.
-                        let k = ctx.shared.kernel_mut();
-                        k.tlbs[me.index()].recycle_pmap(pmap);
-                        k.stats.asid_recycles += 1;
-                        cost += single;
-                    } else {
-                        let n = ctx.shared.kernel_mut().tlbs[me.index()].flush_pmap(pmap);
-                        cost += single * n.max(1);
-                    }
-                    ctx.shared
-                        .kernel_mut()
-                        .pmaps
-                        .get_mut(pmap)
-                        .mark_not_in_use(me);
-                    ctx.notify(SYNC_CHANNEL);
-                    leave_cleanup = true;
-                } else {
-                    for range in ranges {
-                        let tlb = &mut ctx.shared.kernel_mut().tlbs[me.index()];
-                        match tlb.plan_invalidation(range) {
-                            InvalidationPlan::Individual(n) => {
-                                tlb.invalidate_range(pmap, range);
-                                cost += single * n;
-                            }
-                            InvalidationPlan::FullFlush => {
-                                tlb.flush_all();
-                                cost += flush;
-                            }
-                        }
-                    }
-                }
+                // A retired address space cannot re-cache anything, so
+                // the post-unlock cleanup pass is unnecessary too.
+                let retired = retire_address_space(ctx, pmap);
+                let leave_cleanup = retired.is_some();
+                let mut cost = retired.unwrap_or_else(|| {
+                    ranges
+                        .into_iter()
+                        .map(|range| invalidate(ctx, pmap, range))
+                        .sum()
+                });
                 let completed = {
-                    let k = ctx.shared.kernel_mut();
-                    let r = k
-                        .rounds
-                        .iter_mut()
-                        .find(|r| r.id == id)
+                    let r = ctx
+                        .shared
+                        .kernel_mut()
+                        .round_mut(Some(id))
                         .expect("round cannot vanish within a step");
                     let mut completed = false;
                     if r.pending.remove(me) {
@@ -537,7 +515,7 @@ impl<S: HasKernel> Process<S, ()> for ResponderProcess {
                     let mut chans = Vec::new();
                     let mut stalled = false;
                     for &id in &self.acked {
-                        if let Some(r) = k.rounds.iter().find(|r| r.id == id) {
+                        if let Some(r) = k.round(Some(id)) {
                             if !r.unlocked {
                                 stalled = true;
                                 if let Some(c) = k.pmaps.get(r.pmap).lock().channel() {
@@ -564,7 +542,7 @@ impl<S: HasKernel> Process<S, ()> for ResponderProcess {
                     self.phase = RPhase::Draining;
                     return Step::Run(ctx.costs().local_op);
                 };
-                let Some(i) = ctx.shared.kernel().rounds.iter().position(|r| r.id == id) else {
+                let Some(i) = ctx.shared.kernel().round_index(Some(id)) else {
                     // Scrubbed by a lock stealer; nothing left to clean.
                     self.acked.remove(0);
                     return Step::Run(ctx.costs().local_op);
@@ -579,21 +557,9 @@ impl<S: HasKernel> Process<S, ()> for ResponderProcess {
                     let r = &ctx.shared.kernel().rounds[i];
                     (r.pmap, r.extras.clone())
                 };
-                let single = ctx.costs().tlb_invalidate_single;
-                let flush = ctx.costs().tlb_flush_all;
                 let mut cost = ctx.costs().local_op;
                 for range in extras {
-                    let tlb = &mut ctx.shared.kernel_mut().tlbs[me.index()];
-                    match tlb.plan_invalidation(range) {
-                        InvalidationPlan::Individual(n) => {
-                            tlb.invalidate_range(pmap, range);
-                            cost += single * n;
-                        }
-                        InvalidationPlan::FullFlush => {
-                            tlb.flush_all();
-                            cost += flush;
-                        }
-                    }
+                    cost += invalidate(ctx, pmap, range);
                 }
                 {
                     let k = ctx.shared.kernel_mut();
@@ -638,25 +604,11 @@ impl<S: HasKernel> Process<S, ()> for ResponderProcess {
                 // unlocking. Hold the reactivation until every such round
                 // unlocks — the Enter loop then finds the queued action
                 // and drains it before user code resumes.
-                if ctx.shared.kernel().activation_blocked_by_round(me) {
-                    if !self.gated {
-                        self.gated = true;
-                        ctx.shared.kernel_mut().stats.activation_stalls += 1;
-                    }
-                    return stall_activation(ctx, me);
+                if let Some(stall) = activation_gate(ctx, &mut self.gated) {
+                    return stall;
                 }
-                self.gated = false;
                 ctx.shared.kernel_mut().active.insert(me);
-                if let Some(span) = self.span.take() {
-                    let now = ctx.now;
-                    ctx.shared.kernel_mut().trace.record(
-                        me,
-                        span,
-                        TracePhase::Rejoin,
-                        TraceEdge::Mark,
-                        now,
-                    );
-                }
+                mark_rejoin(ctx, self.span.take());
                 // Loop: a concurrent shootdown may have queued more work.
                 self.phase = RPhase::Enter;
                 Step::Run(ctx.costs().local_op + ctx.bus_write())
@@ -710,30 +662,44 @@ pub fn enter_idle(shared: &mut KernelState, cpu: machtlb_sim::CpuId) {
     shared.active.remove(cpu);
 }
 
-/// One stall step of the activation gate (see
-/// [`KernelState::activation_blocked_by_round`]): block on the lock
-/// channels of the pmaps whose open rounds hold `me` back. The
-/// caller re-runs its activation step on wake and re-checks the
-/// predicate; under health monitoring a deadline bounds the wait so a
-/// scrubbed round (dead leader, lock stolen) is noticed.
-fn stall_activation<S: HasKernel>(ctx: &mut Ctx<'_, S, ()>, me: machtlb_sim::CpuId) -> Step {
-    let chans = {
+/// The activation gate (see [`KernelState::activation_blocked_by_round`]):
+/// while an open round holds this processor back, one stall step on the
+/// lock channels of those rounds' pmaps, counting one
+/// [`KernelStats::activation_stalls`](crate::KernelStats::activation_stalls)
+/// per episode (`gated` tracks the episode). The caller re-runs its
+/// activation step on wake, which re-checks the predicate; under health
+/// monitoring a deadline bounds the wait so a scrubbed round (dead
+/// leader, lock stolen) is noticed. `None` once the processor may
+/// activate.
+fn activation_gate<S: HasKernel>(ctx: &mut Ctx<'_, S, ()>, gated: &mut bool) -> Option<Step> {
+    let me = ctx.cpu_id;
+    if !ctx.shared.kernel().activation_blocked_by_round(me) {
+        *gated = false;
+        return None;
+    }
+    if !*gated {
+        *gated = true;
+        ctx.shared.kernel_mut().stats.activation_stalls += 1;
+    }
+    let chans: Vec<_> = {
         let k = ctx.shared.kernel();
-        let mut chans = Vec::new();
-        for r in &k.rounds {
-            if !r.unlocked
-                && r.initiator != me
-                && !r.pending.contains(me)
-                && k.pmaps.get(r.pmap).in_use().contains(me)
-            {
-                if let Some(c) = k.pmaps.get(r.pmap).lock().channel() {
-                    chans.push(c);
-                }
-            }
-        }
-        chans
+        k.rounds_blocking(me)
+            .filter_map(|r| k.pmaps.get(r.pmap).lock().channel())
+            .collect()
     };
-    lock_wait(ctx, &chans)
+    Some(lock_wait(ctx, &chans))
+}
+
+/// Marks this processor's return to the active set on the span of the
+/// shootdown whose work it just drained.
+fn mark_rejoin<S: HasKernel>(ctx: &mut Ctx<'_, S, ()>, span: Option<SpanId>) {
+    if let Some(span) = span {
+        let (me, now) = (ctx.cpu_id, ctx.now);
+        ctx.shared
+            .kernel_mut()
+            .trace
+            .record(me, span, TracePhase::Rejoin, TraceEdge::Mark, now);
+    }
 }
 
 #[derive(Debug)]
@@ -817,14 +783,9 @@ impl<S: HasKernel> Process<S, ()> for ExitIdleProcess {
                 // apply. Exiting idle under an open round would let user
                 // code run through entries the round invalidates, so hold
                 // here until every such round unlocks.
-                if ctx.shared.kernel().activation_blocked_by_round(me) {
-                    if !self.gated {
-                        self.gated = true;
-                        ctx.shared.kernel_mut().stats.activation_stalls += 1;
-                    }
-                    return stall_activation(ctx, me);
+                if let Some(stall) = activation_gate(ctx, &mut self.gated) {
+                    return stall;
                 }
-                self.gated = false;
                 // The gate may have held across the leader's enqueue pass:
                 // loop back and drain the action before activating, in the
                 // same step as this check so no new round sneaks between.
@@ -833,16 +794,7 @@ impl<S: HasKernel> Process<S, ()> for ExitIdleProcess {
                     return Step::Run(ctx.costs().cache_read);
                 }
                 ctx.shared.kernel_mut().active.insert(me);
-                if let Some(span) = self.span.take() {
-                    let now = ctx.now;
-                    ctx.shared.kernel_mut().trace.record(
-                        me,
-                        span,
-                        TracePhase::Rejoin,
-                        TraceEdge::Mark,
-                        now,
-                    );
-                }
+                mark_rejoin(ctx, self.span.take());
                 Step::Done(ctx.costs().local_op + ctx.bus_write())
             }
         }
@@ -851,11 +803,4 @@ impl<S: HasKernel> Process<S, ()> for ExitIdleProcess {
     fn label(&self) -> &'static str {
         "exit-idle"
     }
-}
-
-/// Convenience for checking that an embedded pmap-id field matches reality
-/// in debug assertions.
-#[allow(dead_code)]
-fn debug_pmap_exists(shared: &KernelState, id: PmapId) -> bool {
-    (id.raw() as usize) < shared.pmaps.len()
 }

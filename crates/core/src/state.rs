@@ -797,6 +797,33 @@ impl KernelState {
         self.rounds.iter().any(|r| r.pending.contains(cpu))
     }
 
+    /// Where the round with id `id` sits in [`KernelState::rounds`]
+    /// (`None` once it was reclaimed or scrubbed, or for no id).
+    pub(crate) fn round_index(&self, id: Option<u64>) -> Option<usize> {
+        self.rounds.iter().position(|r| Some(r.id) == id)
+    }
+
+    /// The round with id `id`, while it is registered.
+    pub(crate) fn round(&self, id: Option<u64>) -> Option<&ShootdownRound> {
+        self.round_index(id).map(|i| &self.rounds[i])
+    }
+
+    /// The round with id `id`, mutably.
+    pub(crate) fn round_mut(&mut self, id: Option<u64>) -> Option<&mut ShootdownRound> {
+        self.round_index(id).map(|i| &mut self.rounds[i])
+    }
+
+    /// The rounds that hold `cpu` out of the active set (see
+    /// [`KernelState::activation_blocked_by_round`]).
+    pub(crate) fn rounds_blocking(&self, cpu: CpuId) -> impl Iterator<Item = &ShootdownRound> {
+        self.rounds.iter().filter(move |r| {
+            !r.unlocked
+                && r.initiator != cpu
+                && !r.pending.contains(cpu)
+                && self.pmaps.get(r.pmap).in_use().contains(cpu)
+        })
+    }
+
     /// Whether `cpu` may not (re)enter the active set yet: some multicast
     /// round on a pmap `cpu` uses is still locked, and `cpu` is neither
     /// the round's initiator nor among its pending responders.
@@ -812,12 +839,7 @@ impl KernelState {
     /// round unlocks: by then the fallback action sits in its queue and
     /// the ordinary drain flushes it before the first translation.
     pub fn activation_blocked_by_round(&self, cpu: CpuId) -> bool {
-        self.rounds.iter().any(|r| {
-            !r.unlocked
-                && r.initiator != cpu
-                && !r.pending.contains(cpu)
-                && self.pmaps.get(r.pmap).in_use().contains(cpu)
-        })
+        self.rounds_blocking(cpu).next().is_some()
     }
 
     /// Excuses `cpu` from every in-flight round (eviction, or a target

@@ -113,6 +113,27 @@ if [ -n "$spelled" ]; then
     exit 1
 fi
 
+echo "==> every eviction wakes the round leaders"
+# health::evict drops a processor from every quorum, which can complete
+# a round whose leader then owes a wake. health::evict_and_wake evicts
+# and wakes in one step, so outside it no non-test code may call evict
+# directly. Scanned like the guard above (each file up to its
+# #[cfg(test)], comment lines skipped), tracking the enclosing fn.
+direct=$(find crates/*/src src -name '*.rs' \
+    -exec awk '
+        FNR == 1 { f = "" }
+        /#\[cfg\(test\)\]/ { nextfile }
+        /^[[:space:]]*\/\// { next }
+        match($0, /fn [a-z_0-9]+/) { f = substr($0, RSTART + 3, RLENGTH - 3) }
+        /(^|[^a-z_0-9])evict\(/ && f != "evict" && f != "evict_and_wake" {
+            print FILENAME ":" FNR ":" $0
+        }' {} + || true)
+if [ -n "$direct" ]; then
+    echo "error: evict is called outside health::evict_and_wake:" >&2
+    echo "$direct" >&2
+    exit 1
+fi
+
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets --quiet -- -D warnings
 

@@ -784,6 +784,18 @@ fn cmd_storm(args: &Args) -> Result<(), String> {
              or more"
         ));
     }
+    // Every worker of every node takes its own run of pages, so the runs
+    // together must fit in the virtual page space.
+    let span = (nodes as u64)
+        .checked_mul(storm.workers_per_node as u64)
+        .and_then(|n| n.checked_mul(storm.pages_per_worker));
+    if span.is_none_or(|n| n > VPN_SPAN) {
+        return Err(format!(
+            "{nodes} nodes x {} workers x {} pages exceeds the {VPN_SPAN}-page \
+             virtual space; lower --workers or --pages",
+            storm.workers_per_node, storm.pages_per_worker
+        ));
+    }
     let mut config = base_config(cpus, seed, kconfig);
     config.device_period = None;
     let out = run_migration_storm(&config, &storm);

@@ -47,8 +47,9 @@ fn undersized_machines_are_usage_errors_not_panics() {
 /// child or sweep count past `u32` once ran as 1, a sweep wider than the
 /// machine panicked in the tester, a huge shard count or machine size
 /// aborted in the allocator, `app mach --cpus 100000` ran until
-/// killed, and a remote latency past the clock wrapped (or panicked in a
-/// debug build).
+/// killed, a remote latency past the clock wrapped (or panicked in a
+/// debug build), and storm page runs past the virtual page space
+/// panicked in the page-number constructor.
 #[test]
 fn out_of_range_numbers_are_usage_errors() {
     for args in [
@@ -61,6 +62,19 @@ fn out_of_range_numbers_are_usage_errors() {
         &["app", "mach", "--cpus", "100000"],
         &["scaling", "--upto", "4097"],
         &["fuzz", "--cpus", "5000000000"],
+        &["storm", "--pages", "1000000"],
+        &[
+            "storm",
+            "--cpus",
+            "8",
+            "--nodes",
+            "2",
+            "--workers",
+            "4",
+            "--pages",
+            "131073",
+        ],
+        &["storm", "--pages", "18446744073709551615"],
         &[
             "tester",
             "--cpus",
