@@ -14,6 +14,12 @@
 //! hold time is scaled down by n/16 so the interconnect does not saturate
 //! — matching the paper's observation that machines of this class cannot
 //! be uniform-memory bus designs.
+//!
+//! Outside smoke mode it also reports the simulator's own host cost per
+//! executed scheduler step on the `scale1024` lab round at 256, 1024 and
+//! 4096 processors (the largest machine a fault schedule may describe).
+
+use std::time::Instant;
 
 use machtlb_bench::{concurrent_round_cost, scaled_costs, BenchMetric, BenchReport};
 use machtlb_core::{HasKernel, KernelConfig};
@@ -300,6 +306,40 @@ fn scaling_curves(report: &mut BenchReport, smoke: bool) {
     println!();
 }
 
+/// Host cost of the simulator itself on the lab round `scale1024` runs
+/// (16 concurrent initiators, degree-8 fan-out, batching, 4 pmap shards,
+/// seed 1), up to the largest supported machine: host seconds, executed
+/// scheduler steps, and host nanoseconds per executed step. The scheduler
+/// is indexed, so the cost per step should grow with log n, not n.
+fn host_cost_per_step() {
+    println!("simulator host cost per executed step (lab round, 16 initiators, seed 1):");
+    let mut t = TextTable::new(vec![
+        "processors",
+        "host (s)",
+        "executed steps",
+        "ns per step",
+    ]);
+    for n in [256, 1024, 4096] {
+        let kconfig = KernelConfig {
+            fanout: 8,
+            batch_initiators: true,
+            pmap_shards: 4,
+            ..KernelConfig::default()
+        };
+        let start = Instant::now();
+        let rc = concurrent_round_cost(n, 16, kconfig, scaled_costs(n), 1);
+        let host = start.elapsed().as_secs_f64();
+        t.add_row(vec![
+            n.to_string(),
+            format!("{host:.3}"),
+            rc.executed_steps.to_string(),
+            format!("{:.0}", host * 1e9 / rc.executed_steps as f64),
+        ]);
+    }
+    println!("{t}");
+    println!();
+}
+
 fn main() {
     // MACHTLB_SMOKE: a seconds-scale subset for CI — the small machine
     // sizes only, skipping the 100-processor point and the pool studies.
@@ -352,6 +392,8 @@ fn main() {
         println!("wrote {}", path.display());
         return;
     }
+    host_cost_per_step();
+
     println!("paper's extrapolation at 100 processors: ~6 ms (6000 us)");
     let at_100 = basic_cost_us(101, 100, 999);
     println!("measured at 100 responders:              {at_100:.0} us");

@@ -24,6 +24,9 @@ pub struct RoundCost {
     pub median_us: f64,
     /// Kernel counters after the run.
     pub stats: KernelStats,
+    /// Scheduler steps the run executed (see
+    /// [`Machine::executed_steps`](machtlb_sim::Machine::executed_steps)).
+    pub executed_steps: u64,
 }
 
 #[derive(Debug)]
@@ -219,6 +222,7 @@ pub fn concurrent_round_cost(
         initiator_us,
         median_us,
         stats: s.stats,
+        executed_steps: m.executed_steps(),
     }
 }
 

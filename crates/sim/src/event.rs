@@ -127,11 +127,6 @@ impl BlockOn {
         self.deadline = Some(deadline);
         self
     }
-
-    /// Whether `chan` is one of the awaited channels.
-    pub(crate) fn listens_to(&self, chan: WaitChannel) -> bool {
-        self.chans.contains(&Some(chan))
-    }
 }
 
 /// The first check-lattice instant `anchor + k*interval` (`k >= 1`) at
@@ -200,15 +195,6 @@ mod tests {
         let chan = WaitChannel::new(0x2_0000_0000 | 13);
         assert_eq!(chan.key(), 0x2_0000_000d);
         assert_eq!(chan, WaitChannel::new(chan.key()));
-    }
-
-    #[test]
-    fn block_on_listens_to_its_channels() {
-        let a = WaitChannel::new(1);
-        let b = WaitChannel::new(2);
-        assert!(BlockOn::one(a, C).listens_to(a));
-        assert!(!BlockOn::one(a, C).listens_to(b));
-        assert!(BlockOn::two(a, b, C).listens_to(b));
     }
 
     #[test]

@@ -56,6 +56,7 @@ mod intr;
 mod lock;
 mod machine;
 mod process;
+mod sched;
 mod time;
 mod topology;
 
