@@ -36,7 +36,7 @@ use machtlb_pmap::{PageRange, Pfn, PmapId, PmapStats, Prot, Pte, Vpn};
 use machtlb_sim::{BlockOn, CpuId, Ctx, Dur, IntrMask, Process, Step, Time, WaitChannel};
 use machtlb_xpr::{InitiatorRecord, PmapKind, ShootdownEvent, SpanId, TraceEdge, TracePhase};
 
-use crate::health::{evict_and_wake, RecoveryPolicy};
+use crate::health::{evict_and_wake, reclaim_dead_locks, RecoveryPolicy};
 use crate::queue::Action;
 use crate::responder::invalidate;
 use crate::state::{
@@ -1602,10 +1602,31 @@ impl PmapOpProcess {
     /// One failed check of `cpu`'s queue lock. The retried check re-reads
     /// the pmap's user set as well as the lock, so listen for membership
     /// changes (the sync channel) alongside the lock's releases.
-    fn block_on_queue<S: HasKernel>(&mut self, ctx: &Ctx<'_, S, ()>, cpu: CpuId) -> Step {
+    ///
+    /// Like the pmap lock, the check first probes the holder's liveness: a
+    /// responder that fail-stops mid-drain holds its own queue lock
+    /// forever. A halted holder is evicted (unless the watchdog already
+    /// did) and its locks are reclaimed, under either recovery policy —
+    /// this operation already holds the pmap lock and cannot abort — and
+    /// the retried check finds the lock free or the holder out of the user
+    /// set. The wait ends at the watchdog deadline too (see [`lock_wait`]),
+    /// so a holder that halts while this processor is blocked is probed.
+    fn block_on_queue<S: HasKernel>(&mut self, ctx: &mut Ctx<'_, S, ()>, cpu: CpuId) -> Step {
+        let k = ctx.shared.kernel();
+        let holder = k.queue_locks[cpu.index()].holder();
+        if let Some(dead) = holder.filter(|&h| k.config.health.enabled && ctx.is_cpu_halted(h)) {
+            let mut cost = ctx.bus_read();
+            if !ctx.shared.kernel().evicted[dead.index()] {
+                cost += evict_and_wake(ctx, dead);
+            }
+            let me = ctx.cpu_id;
+            for c in reclaim_dead_locks(ctx.shared.kernel_mut(), me, dead) {
+                ctx.notify(c);
+            }
+            return Step::Run(cost);
+        }
         self.spun_on_queue = Some(cpu);
-        let spin = ctx.costs().spin_check();
-        Step::Block(BlockOn::two(queue_lock_channel(cpu), SYNC_CHANNEL, spin))
+        lock_wait(ctx, &[queue_lock_channel(cpu), SYNC_CHANNEL])
     }
 
     /// The phase that follows the consistency check / local invalidate,
@@ -1741,7 +1762,7 @@ impl<S: HasKernel> Process<S, ()> for FailOpDriver {
                 }
                 // Reclaim every lock the corpse still holds, so the
                 // re-dispatched operation finds them free.
-                let chans = crate::health::reclaim_dead_locks(ctx.shared.kernel_mut(), me, dead);
+                let chans = reclaim_dead_locks(ctx.shared.kernel_mut(), me, dead);
                 for c in chans {
                     ctx.notify(c);
                 }

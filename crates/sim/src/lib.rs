@@ -57,6 +57,7 @@ mod lock;
 mod machine;
 mod process;
 mod sched;
+mod stream;
 mod time;
 mod topology;
 
@@ -70,8 +71,9 @@ pub use fault::{
 };
 pub use intr::{FanoutTree, IntrClass, IntrMask, Vector};
 pub use lock::SpinLock;
-pub use machine::{Machine, MachineConfig, MulticastStats, RunReport, RunStatus, StreamSpacing};
+pub use machine::{Machine, MachineConfig, MulticastStats, RunReport, RunStatus};
 pub use process::{Ctx, Process, Step};
+pub use stream::StreamSpacing;
 pub use time::{Dur, Time};
 pub use topology::{BusFabric, FabricStats, Topology};
 

@@ -7,7 +7,7 @@ use std::fmt;
 use std::rc::Rc;
 
 use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 
 use crate::bus::{BusOp, BusStats};
 use crate::cost::CostModel;
@@ -17,6 +17,7 @@ use crate::fault::{FaultInjector, FaultKind, FaultPlan, FaultRecord, FaultStats}
 use crate::intr::{FanoutTree, IntrClass, IntrMask, Vector};
 use crate::process::{Command, Ctx, Process};
 use crate::sched::{SchedOrder, WaitLists};
+use crate::stream::{Jitter, StreamSpacing, GAP_LIMIT_NS};
 use crate::time::{Dur, Time};
 use crate::topology::{BusFabric, FabricStats, Topology};
 
@@ -126,33 +127,6 @@ pub struct MulticastStats {
     pub forwards: u64,
     /// Hops that landed on a halted relay, pruning its whole subtree.
     pub pruned: u64,
-}
-
-/// How a background interrupt stream spaces its arrivals (see
-/// [`Machine::schedule_interrupt_stream`]).
-#[derive(Copy, Clone, Debug, PartialEq)]
-pub enum StreamSpacing {
-    /// Clocked: every gap is exactly this long. Draws no randomness.
-    Every(Dur),
-    /// Jittered: each gap is `mean` scaled by a factor drawn uniformly
-    /// from `lo..hi` with the machine's random number generator.
-    Jittered {
-        /// The unscaled gap.
-        mean: Dur,
-        /// Smallest scale factor (inclusive).
-        lo: f64,
-        /// Largest scale factor (exclusive).
-        hi: f64,
-    },
-}
-
-impl StreamSpacing {
-    fn gap(self, rng: &mut SmallRng) -> Dur {
-        match self {
-            StreamSpacing::Every(period) => period,
-            StreamSpacing::Jittered { mean, lo, hi } => mean.mul_f64(rng.gen_range(lo..hi)),
-        }
-    }
 }
 
 /// A background interrupt stream with its arrivals not yet queued. At
@@ -403,13 +377,16 @@ impl<S, P> Machine<S, P> {
     /// The run is nevertheless bit-identical to calling
     /// [`Machine::schedule_interrupt`] for every arrival up front. Setup
     /// draws every jittered gap from the machine RNG once (counting the
-    /// arrivals, and leaving the RNG exactly where the up-front loop
-    /// would), and reserves one delivery sequence number per arrival, so
-    /// same-instant ties with other deliveries break as they would have.
+    /// arrivals in exact batches, and leaving the RNG exactly where the
+    /// up-front loop would), and reserves one delivery sequence number per
+    /// arrival, so same-instant ties with other deliveries break as they
+    /// would have.
     ///
     /// # Panics
     ///
-    /// Panics if `target` is out of range or a clocked period is zero.
+    /// Panics if `target` is out of range or a clocked period is zero, and
+    /// for a jittered stream unless `0 <= lo < hi` (both finite),
+    /// `mean * hi < 2^51` ns and `until < Time::MAX`.
     pub fn schedule_interrupt_stream(
         &mut self,
         target: CpuId,
@@ -422,8 +399,28 @@ impl<S, P> Machine<S, P> {
             target.index() < self.cpus.len(),
             "schedule_interrupt_stream: bad target {target}"
         );
-        if let StreamSpacing::Every(period) = spacing {
-            assert!(!period.is_zero(), "stream period must be positive");
+        match spacing {
+            StreamSpacing::Every(period) => {
+                assert!(!period.is_zero(), "stream period must be positive");
+            }
+            StreamSpacing::Jittered { mean, lo, hi } => {
+                assert!(
+                    lo.is_finite() && hi.is_finite(),
+                    "jittered stream factors must be finite, got {lo}..{hi}"
+                );
+                assert!(
+                    0.0 <= lo && lo < hi,
+                    "jittered stream factors need 0 <= lo < hi, got {lo}..{hi}"
+                );
+                assert!(
+                    (mean.as_nanos() as f64) * hi < GAP_LIMIT_NS,
+                    "jittered stream gaps must stay below 2^51 ns, got {mean} * {hi}"
+                );
+                assert!(
+                    until < Time::MAX,
+                    "jittered stream must end before Time::MAX"
+                );
+            }
         }
         let rng = self.rng.clone();
         let arrivals = match spacing {
@@ -431,13 +428,8 @@ impl<S, P> Machine<S, P> {
             StreamSpacing::Every(period) => {
                 until.duration_since(first).as_nanos() / period.as_nanos() + 1
             }
-            StreamSpacing::Jittered { .. } => {
-                let (mut t, mut n) = (first, 0);
-                while t <= until {
-                    n += 1;
-                    t += spacing.gap(&mut self.rng);
-                }
-                n
+            StreamSpacing::Jittered { mean, lo, hi } => {
+                Jitter::new(mean, lo, hi).count(&mut self.rng, first, until)
             }
         };
         if arrivals == 0 {
@@ -1508,5 +1500,43 @@ mod tests {
             dispatched.iter().any(|&(_, t)| t > us(500)),
             "the stream must go on after the revival: {dispatched:?}"
         );
+    }
+
+    /// Starts a jittered stream on cpu 0 of a 16-cpu machine from 0 to
+    /// `until`: the setup checks under test run before any draw.
+    fn jittered(mean: Dur, lo: f64, hi: f64, until: Time) {
+        let mut m = Machine::new(MachineConfig::multimax16(1), (), |_| ());
+        let spacing = StreamSpacing::Jittered { mean, lo, hi };
+        m.schedule_interrupt_stream(CpuId::new(0), Vector::new(3), Time::ZERO, until, spacing);
+    }
+
+    #[test]
+    #[should_panic(expected = "jittered stream factors must be finite")]
+    fn jittered_stream_rejects_a_non_finite_factor() {
+        jittered(Dur::micros(1), 0.05, f64::INFINITY, Time::from_micros(10));
+    }
+
+    #[test]
+    #[should_panic(expected = "jittered stream factors need 0 <= lo < hi")]
+    fn jittered_stream_rejects_a_negative_lo() {
+        jittered(Dur::micros(1), -0.5, 1.0, Time::from_micros(10));
+    }
+
+    #[test]
+    #[should_panic(expected = "jittered stream factors need 0 <= lo < hi")]
+    fn jittered_stream_rejects_an_empty_factor_range() {
+        jittered(Dur::micros(1), 1.0, 1.0, Time::from_micros(10));
+    }
+
+    #[test]
+    #[should_panic(expected = "jittered stream gaps must stay below 2^51 ns")]
+    fn jittered_stream_rejects_gaps_past_the_rounding_limit() {
+        jittered(Dur::nanos(1 << 51), 0.05, 1.0, Time::from_micros(10));
+    }
+
+    #[test]
+    #[should_panic(expected = "jittered stream must end before Time::MAX")]
+    fn jittered_stream_rejects_an_endless_until() {
+        jittered(Dur::micros(1), 0.05, 1.95, Time::MAX);
     }
 }

@@ -2,7 +2,9 @@
 # The repository's pre-merge gate, runnable fully offline:
 #   1. formatting       (cargo fmt --check)
 #   2. lints            (clippy, warnings are errors, all targets)
-#   3. tier-1 tests     (release build + the root package's test suite)
+#   3. tier-1 tests     (release build + the root package's test suite),
+#                       then the member crates' unit tests (the root
+#                       package's `cargo test` does not run them)
 #   4. doc-tests        (workspace-wide)
 #   5. smoke benches    (the spin-vs-event, trace-overhead, Section 8,
 #                        and residency harnesses in MACHTLB_SMOKE mode;
@@ -55,7 +57,9 @@
 #                        schedule — wrongful eviction with the rejoin
 #                        fence sabotaged off — is replayed and must exit
 #                        nonzero, proving the checker and the replay
-#                        red path still have teeth)
+#                        red path still have teeth. Every committed
+#                        tests/data/repro_*.json — a fuzzer finding that
+#                        was fixed — is replayed too and must exit 0)
 #  10. benchmark package (examples/benchmark is a standalone package
 #                        with its own workspace, so the steps above never
 #                        compile it: build it, lint it with warnings as
@@ -141,6 +145,9 @@ echo "==> tier-1: cargo build --release && cargo test"
 cargo build --release --quiet
 cargo test --quiet
 
+echo "==> unit tests of every workspace crate"
+cargo test --workspace --lib --quiet
+
 echo "==> doc-tests"
 cargo test --doc --workspace --quiet
 
@@ -192,6 +199,15 @@ if cargo run --release --quiet --bin machtlb -- replay \
     echo "error: the known-bad schedule replayed green" >&2
     exit 1
 fi
+
+echo "==> repro replays (every fixed fuzzer finding must replay green)"
+for repro in tests/data/repro_*.json; do
+    if ! cargo run --release --quiet --bin machtlb -- replay \
+        --schedule "$repro" >/dev/null 2>&1; then
+        echo "error: $repro no longer replays green" >&2
+        exit 1
+    fi
+done
 
 echo "==> benchmark package (build, clippy, tests)"
 BENCH_PKG=examples/benchmark/Cargo.toml

@@ -1,6 +1,6 @@
 //! Minimized fuzz reproductions, committed as replayable schedule
 //! artifacts. Every schedule in `tests/data/` is exactly what
-//! `machtlb replay --schedule <file>` accepts; the four `repro_*` files
+//! `machtlb replay --schedule <file>` accepts; the five `repro_*` files
 //! are protocol holes the fuzzer found and this codebase fixed, kept
 //! red-to-green as regression evidence.
 
@@ -11,6 +11,7 @@ const MULTICAST_GATE: &str = include_str!("data/repro_multicast_activation_gate.
 const ATTACH_RECHECK: &str = include_str!("data/repro_attach_recheck.json");
 const ROBBED_RESTART: &str = include_str!("data/repro_robbed_restart.json");
 const CO_INITIATOR_SENTINEL: &str = include_str!("data/repro_co_initiator_sentinel.json");
+const DEAD_QUEUE_HOLDER: &str = include_str!("data/repro_dead_queue_holder.json");
 
 /// The committed artifacts must stay in the serializer's own canonical
 /// form, so a hand edit that drifts from `schedule_json` (and would make
@@ -23,6 +24,7 @@ fn committed_artifacts_are_canonical() {
         ("repro_attach_recheck", ATTACH_RECHECK),
         ("repro_robbed_restart", ROBBED_RESTART),
         ("repro_co_initiator_sentinel", CO_INITIATOR_SENTINEL),
+        ("repro_dead_queue_holder", DEAD_QUEUE_HOLDER),
     ] {
         let s = parse_schedule(text).unwrap_or_else(|e| panic!("{name}: {e}"));
         assert_eq!(schedule_json(&s), text, "{name} is not canonical");
@@ -156,4 +158,35 @@ fn co_initiator_sentinel_repro_stays_green() {
     assert!(o.completed, "the co-initiator wedged again: {o:?}");
     assert_eq!(o.violations, 0, "{o:?}");
     assert!(o.stats.locks_stolen >= 1, "{o:?}");
+}
+
+/// Fuzzer finding #5 (dead queue-lock holder): a responder fail-stopped
+/// mid-drain while holding its own action-queue lock, and the initiator
+/// posting it a queue action spun on that lock with no deadline and no
+/// liveness probe — a run that never completed. Fixed by giving the
+/// queue-lock wait the pmap lock's dead-holder recovery: the wait ends
+/// at the watchdog deadline, the holder is probed, and a halted holder
+/// is evicted and its locks reclaimed. The minimized schedule (a stall
+/// and a halt on cpu32, a halt on the lock grabber, fanout 4 on 64
+/// processors) must now complete, with no watchdog give-up: the queue
+/// lock's probe did the eviction.
+#[test]
+fn dead_queue_holder_repro_stays_green() {
+    let s = parse_schedule(DEAD_QUEUE_HOLDER).unwrap();
+    assert!(
+        s.events.contains(&ScheduleEvent::Halt {
+            cpu: 32,
+            at_us: 10000
+        }),
+        "the hole needs the queue-lock holder to die"
+    );
+    let o = run_schedule(&s);
+    assert!(!is_red(&o), "{o:?}");
+    assert!(o.completed, "the initiator wedged on the queue lock: {o:?}");
+    assert_eq!(o.violations, 0, "{o:?}");
+    assert_eq!(o.stats.watchdog_gaveup, 0, "{o:?}");
+    assert!(
+        o.stats.evictions >= 1,
+        "the queue-lock probe never evicted the dead holder: {o:?}"
+    );
 }
