@@ -71,6 +71,12 @@
 #                        A workload that fails or panics exits nonzero and
 #                        fails the gate, so a change cannot reach the
 #                        benchmark unrun; about a minute on two cores)
+#  12. benchmark pin    (each workload's sim_makespan_ms,
+#                        sim_ipis_per_shootdown and failed-run count from
+#                        the smoke run must equal
+#                        crates/bench/baselines/benchmark_sim_seed1.txt
+#                        exactly: the simulation is deterministic, so a
+#                        difference means the simulated run moved)
 #
 # Usage: scripts/check.sh
 set -eu
@@ -217,6 +223,21 @@ cargo test --release --quiet --manifest-path "$BENCH_PKG"
 
 echo "==> benchmark smoke (every workload's fixed passes)"
 cargo run --release --quiet --offline --manifest-path "$BENCH_PKG" -- \
-    --workload all --seed 1 --seconds 0 --out target/benchmark-smoke
+    --workload all --seed 1 --seconds 0 --out target/benchmark-smoke \
+    > target/benchmark-smoke.txt
+cat target/benchmark-smoke.txt
+
+echo "==> benchmark simulated numbers against the committed pin"
+# The fixed passes are deterministic: every workload's simulated
+# makespan, IPIs per shootdown and failed-run count must equal the pin
+# exactly (no noise envelope).
+SIM_PIN=crates/bench/baselines/benchmark_sim_seed1.txt
+awk '$2 ~ /^sim_(makespan_ms|ipis_per_shootdown)$/ { print $1, $2, $3 }
+     $1 == "#" && $3 == "error_rate" { sub(/^\(/, "", $5); print $2, "failed", $5 }' \
+    target/benchmark-smoke.txt > target/benchmark-sim-seed1.txt
+if ! grep -v '^#' "$SIM_PIN" | diff -u - target/benchmark-sim-seed1.txt; then
+    echo "error: the benchmark's simulated numbers differ from $SIM_PIN" >&2
+    exit 1
+fi
 
 echo "==> all checks passed"
