@@ -1,10 +1,9 @@
 //! Per-processor state: identity, clock, interrupt latch, and frame stack.
 
-use std::collections::BTreeSet;
 use std::fmt;
 
 use crate::event::{BlockOn, WaitChannel};
-use crate::intr::{IntrMask, Vector};
+use crate::intr::{IntrMask, Vector, VectorSet};
 use crate::process::Process;
 use crate::time::{Dur, Time};
 
@@ -133,7 +132,7 @@ pub struct CpuCore<S, P> {
     id: CpuId,
     pub(crate) clock: Time,
     pub(crate) mask: IntrMask,
-    pub(crate) pending: BTreeSet<Vector>,
+    pub(crate) pending: VectorSet,
     pub(crate) stack: Vec<Frame<S, P>>,
     pub(crate) park: ParkState,
     pub(crate) stats: CpuStats,
@@ -146,7 +145,7 @@ impl<S, P> CpuCore<S, P> {
             id,
             clock: Time::ZERO,
             mask: IntrMask::OPEN,
-            pending: BTreeSet::new(),
+            pending: VectorSet::default(),
             stack: Vec::new(),
             park: ParkState::Parked { until: None },
             stats: CpuStats::default(),
@@ -201,12 +200,12 @@ impl<S, P> CpuCore<S, P> {
 
     /// True if an interrupt is latched but not yet dispatched.
     pub fn has_pending(&self, vector: Vector) -> bool {
-        self.pending.contains(&vector)
+        self.pending.contains(vector)
     }
 
     /// Every interrupt latched but not yet dispatched, lowest vector first.
     pub fn pending_vectors(&self) -> Vec<Vector> {
-        self.pending.iter().copied().collect()
+        self.pending.iter().collect()
     }
 
     /// A diagnostic view of the park state (see [`ParkView`]).
@@ -235,7 +234,6 @@ impl<S, P> CpuCore<S, P> {
     ) -> Option<Vector> {
         self.pending
             .iter()
-            .copied()
             .find(|&v| class_of(v).is_some_and(|c| !self.mask.blocks(c)))
     }
 }

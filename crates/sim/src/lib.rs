@@ -52,6 +52,7 @@ mod cost;
 mod cpu;
 mod event;
 mod fault;
+pub mod fxhash;
 mod intr;
 mod lock;
 mod machine;

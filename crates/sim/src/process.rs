@@ -12,7 +12,6 @@
 //! algorithm synchronizes: flag writes, spin-loop reads, queue operations,
 //! and interrupt deliveries each happen at a single, ordered instant.
 
-use std::collections::BTreeSet;
 use std::fmt;
 
 use rand::rngs::SmallRng;
@@ -21,7 +20,7 @@ use crate::bus::BusOp;
 use crate::cost::CostModel;
 use crate::cpu::CpuId;
 use crate::event::{BlockOn, WaitChannel};
-use crate::intr::{IntrMask, Vector};
+use crate::intr::{IntrMask, Vector, VectorSet};
 use crate::time::{Dur, Time};
 use crate::topology::{BusFabric, Topology};
 
@@ -153,7 +152,7 @@ pub struct Ctx<'a, S, P> {
     /// This processor's hardware state (e.g. its TLB).
     pub payload: &'a mut P,
     pub(crate) mask: &'a mut IntrMask,
-    pub(crate) pending: &'a BTreeSet<Vector>,
+    pub(crate) pending: &'a VectorSet,
     pub(crate) fabric: &'a mut BusFabric,
     /// The node this processor lives on (precomputed by the scheduler).
     pub(crate) node: usize,
@@ -293,7 +292,7 @@ impl<'a, S, P> Ctx<'a, S, P> {
     /// Whether `vector` is pending (latched but not yet dispatched) on this
     /// processor.
     pub fn is_pending(&self, vector: Vector) -> bool {
-        self.pending.contains(&vector)
+        self.pending.contains(vector)
     }
 
     /// Sends an inter-processor interrupt to `target`. The interrupt is

@@ -51,11 +51,11 @@
 #![warn(missing_docs)]
 
 mod config;
-pub mod fxhash;
 pub mod reference;
 mod tlb;
 
 pub use config::{ReloadPolicy, TlbConfig, WritebackPolicy};
+pub use machtlb_sim::fxhash;
 pub use tlb::{InvalidationPlan, Lookup, Tlb, TlbEntry, TlbStats, Writeback};
 
 #[cfg(test)]
